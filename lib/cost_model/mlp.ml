@@ -264,7 +264,9 @@ let input_gradient_into t ws x grad =
 (* The C kernels (mlp_stubs.c) run the same per-lane IEEE operation
    sequence packed across lanes; they are compiled with contraction and
    value-changing optimisations disabled, so vectorisation cannot change
-   any lane's bits. [FELIX_NO_SIMD=1] (or [set_vector_kernels false])
+   any lane's bits; the parameter-gradient sweep, whose weight cells sum
+   across lanes, keeps each cell's lane order and vectorises across
+   inputs instead. [FELIX_NO_SIMD=1] (or [set_vector_kernels false])
    selects the portable OCaml loops instead — the equivalence tests
    exercise both. *)
 external c_forward_layers :
@@ -275,6 +277,11 @@ external c_forward_backward_layers :
   float array -> int array -> int array -> float array array -> float array array -> int
   -> unit
   = "felix_mlp_forward_backward_batch_byte" "felix_mlp_forward_backward_batch" [@@noalloc]
+
+external c_param_backward_layers :
+  float array -> int array -> int array -> float array array -> float array array -> int
+  -> float array -> float array -> int array -> float array -> unit
+  = "felix_mlp_param_backward_batch_byte" "felix_mlp_param_backward_batch" [@@noalloc]
 
 let vector_kernels =
   ref
@@ -290,10 +297,16 @@ type batch_workspace = {
   b_offs : int array;
   b_acts : float array array;  (* per layer: cap * sizes.(l), feature-major *)
   b_delta : float array array;
-  b_lidx : int array;  (* per-output active-lane compression, cap wide *)
+  b_lidx : int array;  (* per-output active-lane compression, cap wide; the C
+                          weight-gradient sweep stores lane offsets here *)
   b_ldval : float array;
   b_x : float array;  (* cap * n_inputs staging rows (train/forward batch) *)
   b_t : float array;  (* cap staging targets *)
+  (* Training-only buffers, sized on first use so forward-only workspaces
+     never carry them: the C weight-gradient sweep's lane-major transpose
+     plane (cap * widest layer input) and the training step's gradient. *)
+  mutable b_prevT : float array;
+  mutable b_grads : float array;
 }
 
 let batch_workspace t ~batch =
@@ -306,7 +319,9 @@ let batch_workspace t ~batch =
     b_lidx = Array.make batch 0;
     b_ldval = Array.make batch 0.0;
     b_x = Array.make (batch * t.sizes.(0)) 0.0;
-    b_t = Array.make batch 0.0
+    b_t = Array.make batch 0.0;
+    b_prevT = [||];
+    b_grads = [||]
   }
 
 let batch_capacity bws = bws.b_cap
@@ -547,34 +562,16 @@ let input_gradient_batch_into t bws ~batch xs ~grads ~scores =
     done
   done
 
-let param_gradient_batch_into t bws ~batch ~xs ~targets grads =
-  check_bws t bws ~batch "Mlp.param_gradient_batch_into";
-  if Array.length xs < batch * n_inputs t then
-    invalid_arg "Mlp.param_gradient_batch_into: input arity mismatch";
-  if Array.length targets < batch then
-    invalid_arg "Mlp.param_gradient_batch_into: target arity mismatch";
-  if Array.length grads <> num_params t then
-    invalid_arg "Mlp.param_gradient_batch_into: gradient arity mismatch";
-  let n_layers = forward_acts_batch t bws ~batch xs in
+(* Portable reverse sweep of the parameter gradient. Per layer
+   (descending) and output, compress the lanes where the output is active,
+   then sweep the inputs once: each weight cell accumulates its active
+   lanes in lane-ascending order — exactly the example order of the scalar
+   loop — and each lane's d_in cell gains its o-contributions in the same
+   ascending-o order. The weight and gradient cells load once per (o, i)
+   instead of once per example. *)
+let param_backward_layers_ocaml t bws ~batch grads =
   Array.fill grads 0 (Array.length grads) 0.0;
-  (* Loss and top deltas in lane order — the example order of the scalar
-     [param_gradient] loop, so the running loss sum sees the same
-     additions in the same sequence. *)
-  let top = bws.b_acts.(n_layers) in
-  let dtop = bws.b_delta.(n_layers) in
-  let loss = ref 0.0 in
-  let bsz = float_of_int batch in
-  for lane = 0 to batch - 1 do
-    let err = Array.unsafe_get top lane -. Array.unsafe_get targets lane in
-    loss := !loss +. (err *. err);
-    Array.unsafe_set dtop lane (2.0 *. err /. bsz)
-  done;
-  (* Per layer (descending) and output, compress the lanes where the
-     output is active, then sweep the inputs once: each weight cell
-     accumulates its active lanes in lane-ascending order — exactly the
-     example order of the scalar loop — and each lane's d_in cell gains
-     its o-contributions in the same ascending-o order. The weight and
-     gradient cells load once per (o, i) instead of once per example. *)
+  let n_layers = Array.length bws.b_offs in
   let p = t.params in
   let lidx = bws.b_lidx and ldval = bws.b_ldval in
   for layer = n_layers - 1 downto 0 do
@@ -624,7 +621,40 @@ let param_gradient_batch_into t bws ~batch ~xs ~targets grads =
         Array.unsafe_set grads (bias + o) !gb
       end
     done
+  done
+
+let param_gradient_batch_into t bws ~batch ~xs ~targets grads =
+  check_bws t bws ~batch "Mlp.param_gradient_batch_into";
+  if Array.length xs < batch * n_inputs t then
+    invalid_arg "Mlp.param_gradient_batch_into: input arity mismatch";
+  if Array.length targets < batch then
+    invalid_arg "Mlp.param_gradient_batch_into: target arity mismatch";
+  if Array.length grads <> num_params t then
+    invalid_arg "Mlp.param_gradient_batch_into: gradient arity mismatch";
+  let n_layers = forward_acts_batch t bws ~batch xs in
+  (* Loss and top deltas in lane order — the example order of the scalar
+     [param_gradient] loop, so the running loss sum sees the same
+     additions in the same sequence. *)
+  let top = bws.b_acts.(n_layers) in
+  let dtop = bws.b_delta.(n_layers) in
+  let loss = ref 0.0 in
+  let bsz = float_of_int batch in
+  for lane = 0 to batch - 1 do
+    let err = Array.unsafe_get top lane -. Array.unsafe_get targets lane in
+    loss := !loss +. (err *. err);
+    Array.unsafe_set dtop lane (2.0 *. err /. bsz)
   done;
+  if !vector_kernels then begin
+    let widest_in = ref 1 in
+    for l = 0 to n_layers - 1 do
+      widest_in := max !widest_in t.sizes.(l)
+    done;
+    let need = bws.b_cap * !widest_in in
+    if Array.length bws.b_prevT < need then bws.b_prevT <- Array.make need 0.0;
+    c_param_backward_layers t.params t.sizes bws.b_offs bws.b_acts bws.b_delta batch grads
+      bws.b_prevT bws.b_lidx bws.b_ldval
+  end
+  else param_backward_layers_ocaml t bws ~batch grads;
   !loss /. bsz
 
 let input_gradient t x =
@@ -698,28 +728,31 @@ let param_gradient t batch grads =
 let c_updates = Telemetry.counter Telemetry.global "model.updates"
 let g_last_loss = Telemetry.gauge Telemetry.global "model.last_loss"
 
-let train_batch ?ws t adam batch =
+let stage_example bws l x target =
+  let ni = Array.length bws.b_x / bws.b_cap in
+  if l < 0 || l >= bws.b_cap then invalid_arg "Mlp.stage_example: lane exceeds capacity";
+  if Array.length x <> ni then invalid_arg "Mlp.stage_example: arity mismatch";
+  Array.blit x 0 bws.b_x (l * ni) ni;
+  bws.b_t.(l) <- target
+
+let train_staged t adam bws ~batch =
+  let np = num_params t in
+  if Array.length bws.b_grads <> np then bws.b_grads <- Array.make np 0.0;
+  let loss =
+    param_gradient_batch_into t bws ~batch ~xs:bws.b_x ~targets:bws.b_t bws.b_grads
+  in
+  Adam.step adam ~params:t.params ~grads:bws.b_grads;
+  Telemetry.Counter.incr c_updates;
+  Telemetry.Gauge.set g_last_loss loss;
+  loss
+
+let train_batch t adam batch =
   let bsz = Array.length batch in
   if bsz = 0 then 0.0
   else begin
-    let bws =
-      match ws with Some w when w.b_cap >= bsz -> w | _ -> batch_workspace t ~batch:bsz
-    in
-    let ni = n_inputs t in
-    Array.iteri
-      (fun l (x, target) ->
-        if Array.length x <> ni then invalid_arg "Mlp.train_batch: arity mismatch";
-        Array.blit x 0 bws.b_x (l * ni) ni;
-        bws.b_t.(l) <- target)
-      batch;
-    let grads = Array.make (num_params t) 0.0 in
-    let loss =
-      param_gradient_batch_into t bws ~batch:bsz ~xs:bws.b_x ~targets:bws.b_t grads
-    in
-    Adam.step adam ~params:t.params ~grads;
-    Telemetry.Counter.incr c_updates;
-    Telemetry.Gauge.set g_last_loss loss;
-    loss
+    let bws = batch_workspace t ~batch:bsz in
+    Array.iteri (fun l (x, target) -> stage_example bws l x target) batch;
+    train_staged t adam bws ~batch:bsz
   end
 
 let adam_for ?(lr = 1e-3) t = Adam.create ~lr (num_params t)

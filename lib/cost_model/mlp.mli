@@ -9,8 +9,9 @@
     Two gradient paths are exposed:
     - {!input_gradient}: dC/dinput — composed with the feature tape's VJP
       this differentiates the whole objective of Equation 4;
-    - {!train_batch}: dLoss/dparams — used for pretraining and for the
-      online update of Algorithm 1 (line 24). *)
+    - {!train_staged} (and its one-shot form {!train_batch}):
+      dLoss/dparams — used for pretraining and for the online update of
+      Algorithm 1 (line 24). *)
 
 type t
 
@@ -66,7 +67,13 @@ val input_gradient_into : t -> workspace -> float array -> float array -> float
     vectorised across lanes by default (strict-IEEE C kernels — see
     mlp_stubs.c). Lane [l] of every batched sweep is bitwise-identical to
     the corresponding scalar [_into] call on that row alone, at any batch
-    size, on either kernel set. Same ownership rules as {!workspace}. *)
+    size, on either kernel set. The one sweep that sums across lanes, the
+    parameter gradient, runs in C too: it transposes each layer's input
+    activations into a lane-major plane ([prevT.(lane * n_in + i)]) kept
+    in the workspace and vectorises across inputs, adding each weight
+    cell's lanes in ascending order — the scalar example order. Same
+    ownership rules as {!workspace}: the C kernels keep all scratch in the
+    workspace, so separate workspaces may run on separate domains. *)
 
 val set_vector_kernels : bool -> unit
 (** Select the vectorised C kernels ([true], the default) or the portable
@@ -114,15 +121,29 @@ val param_gradient_batch_into :
     (flat, {!num_params}-wide) gradient and returns the MSE loss.
     Bitwise-identical to the scalar example loop — weight cells accumulate
     their active lanes in example order, input deltas their outputs in
-    ascending order. *)
+    ascending order. On the C kernels the whole reverse sweep (ReLU mask,
+    weight and bias gradients, input deltas) runs in mlp_stubs.c: the
+    weight gradient sweeps each row as blocked AXPYs over the inputs of
+    the lane-major transpose plane, which is sized on first use (batch
+    capacity times the widest layer input) and then kept in the
+    workspace. *)
 
-val train_batch :
-  ?ws:batch_workspace -> t -> Adam.t -> (float array * float) array -> float
+val train_batch : t -> Adam.t -> (float array * float) array -> float
 (** One Adam step on the mean-squared-error of the batch
     [(features, target_score)]; returns the batch loss (before the
-    step). Runs on the batched kernels; pass [?ws] (capacity >= batch
-    size) to reuse buffers across steps, otherwise one is allocated per
-    call. *)
+    step). Runs on the batched kernels through a fresh workspace:
+    {!stage_example} on each row, then {!train_staged}. Repeated steps
+    should stage into one reused workspace instead. *)
+
+val stage_example : batch_workspace -> int -> float array -> float -> unit
+(** [stage_example bws l x target] copies example [l] (features [x],
+    target score [target]) into the workspace's staging rows, for the
+    next {!train_staged} step. Staged rows survive training steps. *)
+
+val train_staged : t -> Adam.t -> batch_workspace -> batch:int -> float
+(** One Adam step on staged examples [0..batch-1]; returns the batch loss
+    (before the step). The gradient vector lives in the workspace, so a
+    reused workspace makes each step allocation-free. *)
 
 val adam_for : ?lr:float -> t -> Adam.t
 (** Fresh optimiser state sized for this model's parameters. *)

@@ -87,20 +87,20 @@ let pretrain rng ?(hidden = [ 192; 192; 192 ]) ?(epochs = 8) ?(batch_size = 256)
   let n = Array.length ds.train in
   let order = Array.init n (fun i -> i) in
   (* One batch workspace reused across every minibatch of every epoch:
-     the whole pretraining loss/gradient path runs on the SoA kernels
-     with no per-step allocation beyond the gradient vector. *)
+     examples are staged straight into its rows and the whole
+     pretraining loss/gradient path runs on the SoA kernels with no
+     per-step allocation. *)
   let ws = Mlp.batch_workspace model ~batch:(min batch_size n) in
   for _epoch = 1 to epochs do
     Rng.shuffle rng order;
     let i = ref 0 in
     while !i < n do
       let bsz = min batch_size (n - !i) in
-      let batch =
-        Array.init bsz (fun j ->
-            let s = ds.train.(order.(!i + j)) in
-            (s.Dataset.features, s.Dataset.target))
-      in
-      ignore (Mlp.train_batch ~ws model adam batch);
+      for j = 0 to bsz - 1 do
+        let s = ds.train.(order.(!i + j)) in
+        Mlp.stage_example ws j s.Dataset.features s.Dataset.target
+      done;
+      ignore (Mlp.train_staged model adam ws ~batch:bsz);
       i := !i + bsz
     done
   done;

@@ -31,5 +31,6 @@ val pretrained_for_device :
   ?cache_dir:string -> ?seed:int -> Device.t -> Mlp.t
 (** End-to-end: collect tasks, generate the dataset on the device's
     simulator, train, and cache the result under
-    [cache_dir/costmodel_<device>.bin] (default ["_artifacts"]). Subsequent
-    calls load the cache. *)
+    [cache_dir/costmodel_<device>.json] (default ["_artifacts"]; spaces and
+    slashes in the device name become underscores). Subsequent calls load
+    the cache. *)

@@ -221,10 +221,14 @@ let measure_candidates measurer ?journal ~telemetry rng device st candidates =
 let update_model model adam pairs =
   if pairs = [] then None
   else begin
-    let batch = Array.of_list pairs in
+    (* One workspace per update: the pairs are staged once and the four
+       steps reuse its buffers. *)
+    let batch = List.length pairs in
+    let ws = Mlp.batch_workspace model ~batch in
+    List.iteri (fun l (x, target) -> Mlp.stage_example ws l x target) pairs;
     let loss = ref 0.0 in
     for _ = 1 to 4 do
-      loss := Mlp.train_batch model adam batch
+      loss := Mlp.train_staged model adam ws ~batch
     done;
     Some !loss
   end

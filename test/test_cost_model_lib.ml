@@ -256,36 +256,127 @@ let test_mlp_batch_bitwise () =
           done)
         [ 1; 2; 7; 32; 128 ])
 
+(* A copy of [model] whose hidden neuron [o] of [layer] is dead (zero
+   weights, bias -1): its ReLU is off on every lane, so the whole output's
+   deltas are masked and its weight row never accumulates anything. *)
+let with_dead_neuron model ~layer ~o =
+  let sizes = [| 11; 13; 9; 6; 1 |] in
+  match Mlp.to_json model with
+  | Json.Obj fields ->
+    let fields =
+      List.map
+        (fun (k, v) ->
+          if k <> "params" then (k, v)
+          else begin
+            let p = Option.get (Option.bind (Json.as_string v) Store.Bits.to_floats) in
+            let off = ref 0 in
+            for l = 0 to layer - 1 do
+              off := !off + (sizes.(l) * sizes.(l + 1)) + sizes.(l + 1)
+            done;
+            let n_in = sizes.(layer) and n_out = sizes.(layer + 1) in
+            Array.fill p (!off + (o * n_in)) n_in 0.0;
+            p.(!off + (n_in * n_out) + o) <- -1.0;
+            (k, Json.Str (Store.Bits.of_floats p))
+          end)
+        fields
+    in
+    Option.get (Mlp.of_json (Json.Obj fields))
+  | _ -> assert false
+
 let test_mlp_param_gradient_batch_bitwise () =
   let rng = Rng.create 78 in
-  let model = batch_test_model rng in
   let ni = 11 in
-  let np = Mlp.num_params model in
+  let plain = batch_test_model rng in
+  (* Zero means on even features let a [-0.0] input reach the input plane
+     as [-0.0]; two dead neurons mask whole outputs on every lane. *)
+  let edgy =
+    let m = with_dead_neuron (with_dead_neuron plain ~layer:0 ~o:4) ~layer:1 ~o:2 in
+    Mlp.set_normalizer m
+      ~mean:(Array.init ni (fun i -> if i mod 2 = 0 then 0.0 else Rng.gaussian rng))
+      ~std:(Array.init ni (fun _ -> 0.5 +. Float.abs (Rng.gaussian rng)));
+    m
+  in
+  let np = Mlp.num_params plain in
+  let wide = 300 in
+  let check kset what model bws batch examples =
+    let g_ref = Array.make np 0.0 in
+    let loss_ref = Mlp.param_gradient model examples g_ref in
+    let xs = Array.make (batch * ni) 0.0 in
+    let targets = Array.make batch 0.0 in
+    Array.iteri
+      (fun l (x, t) ->
+        Array.blit x 0 xs (l * ni) ni;
+        targets.(l) <- t)
+      examples;
+    (* Stale values from an earlier call must not leak into the result. *)
+    let g = Array.make np nan in
+    let loss = Mlp.param_gradient_batch_into model bws ~batch ~xs ~targets g in
+    if not (Int64.equal (bits loss_ref) (bits loss)) then
+      Alcotest.failf "%s %s batch %d: loss diverged (%h vs %h)" kset what batch loss_ref
+        loss;
+    if not (bits_eq g_ref g) then
+      Alcotest.failf "%s %s batch %d: parameter gradient diverged" kset what batch
+  in
   on_both_kernel_sets (fun kset ->
+      let plain_wide = Mlp.batch_workspace plain ~batch:wide in
+      let edgy_wide = Mlp.batch_workspace edgy ~batch:wide in
       List.iter
         (fun batch ->
           let examples =
             Array.init batch (fun _ ->
                 (Array.init ni (fun _ -> Rng.gaussian rng), Rng.gaussian rng))
           in
-          let g_ref = Array.make np 0.0 in
-          let loss_ref = Mlp.param_gradient model examples g_ref in
-          let bws = Mlp.batch_workspace model ~batch in
-          let xs = Array.make (batch * ni) 0.0 in
-          let targets = Array.make batch 0.0 in
-          Array.iteri
-            (fun l (x, t) ->
-              Array.blit x 0 xs (l * ni) ni;
-              targets.(l) <- t)
-            examples;
-          let g = Array.make np 0.0 in
-          let loss = Mlp.param_gradient_batch_into model bws ~batch ~xs ~targets g in
-          if not (Int64.equal (bits loss_ref) (bits loss)) then
-            Alcotest.failf "%s batch %d: loss diverged (%h vs %h)" kset batch loss_ref
-              loss;
-          if not (bits_eq g_ref g) then
-            Alcotest.failf "%s batch %d: parameter gradient diverged" kset batch)
-        [ 1; 3; 16 ])
+          check kset "plain" plain (Mlp.batch_workspace plain ~batch) batch examples;
+          check kset "plain/wide workspace" plain plain_wide batch examples;
+          (* Signed zeros in the inputs, and lane 0's target equal to its
+             prediction, so its top delta is exactly zero. *)
+          let examples =
+            Array.mapi
+              (fun l (x, t) ->
+                let x = Array.mapi (fun i v -> if (i + l) mod 3 = 0 then -0.0 else v) x in
+                (x, if l = 0 then Mlp.forward edgy x else t))
+              examples
+          in
+          check kset "edge-case" edgy (Mlp.batch_workspace edgy ~batch) batch examples;
+          check kset "edge-case/wide workspace" edgy edgy_wide batch examples)
+        [ 1; 3; 4; 5; 7; 8; 9; 16; 33; 256 ])
+
+(* The trained model's bits must not depend on which kernel set ran the
+   minibatch sweeps: odd hidden widths hit the blocked kernels' remainder
+   paths, and 150 samples in batches of 16 leave a partial last minibatch
+   every epoch. *)
+let test_pretrain_kernel_set_invariant () =
+  let sample rng k =
+    let features = Array.init 7 (fun _ -> Rng.gaussian rng) in
+    let target = (features.(0) *. 0.7) -. Float.abs features.(3) +. (0.1 *. Rng.gaussian rng) in
+    { Dataset.features; target; task_key = Printf.sprintf "task%d" (k mod 3) }
+  in
+  let data = Rng.create 81 in
+  let ds =
+    { Dataset.train = Array.init 150 (sample data); valid = Array.init 40 (sample data) }
+  in
+  let saved = Mlp.using_vector_kernels () in
+  let run vec =
+    Mlp.set_vector_kernels vec;
+    let model, metrics =
+      Train.pretrain (Rng.create 82) ~hidden:[ 13; 9; 7 ] ~epochs:3 ~batch_size:16 ds
+    in
+    (Json.to_string (Mlp.to_json model), metrics)
+  in
+  let (json_c, m_c), (json_ocaml, m_ocaml) =
+    Fun.protect ~finally:(fun () -> Mlp.set_vector_kernels saved) (fun () ->
+        let c = run true in
+        (c, run false))
+  in
+  Alcotest.(check string) "model bytes" json_ocaml json_c;
+  let fbits name a b =
+    if not (Int64.equal (bits a) (bits b)) then
+      Alcotest.failf "metrics %s diverged (%h vs %h)" name a b
+  in
+  fbits "mse" m_ocaml.Train.mse m_c.Train.mse;
+  fbits "spearman" m_ocaml.Train.spearman m_c.Train.spearman;
+  fbits "per_task_spearman" m_ocaml.Train.per_task_spearman m_c.Train.per_task_spearman;
+  Alcotest.(check int) "n_samples" m_ocaml.Train.n_samples m_c.Train.n_samples
 
 let test_adam_step_batch_bitwise () =
   let n = 7 and batch = 5 in
@@ -333,6 +424,8 @@ let tests =
       test_mlp_batch_bitwise;
     Alcotest.test_case "mlp batched parameter gradient bitwise" `Quick
       test_mlp_param_gradient_batch_bitwise;
+    Alcotest.test_case "pretraining is kernel-set-invariant" `Quick
+      test_pretrain_kernel_set_invariant;
     Alcotest.test_case "batched adam retraces independent optimisers" `Quick
       test_adam_step_batch_bitwise;
     Alcotest.test_case "mlp workspace kernels bitwise-equal legacy" `Quick
