@@ -105,7 +105,9 @@ let tuned ?(seed = 1) ~batch net device engine : Tuner.result =
     (match Export.save_result r path with
     | Ok () -> ()
     | Error e -> Printf.eprintf "[tune] cache write failed: %s\n%!" (Store.error_message e));
-    Export.write_curve_csv r (Filename.remove_extension path ^ ".csv");
+    (match Export.write_curve_csv r (Filename.remove_extension path ^ ".csv") with
+    | Ok () -> ()
+    | Error e -> Printf.eprintf "[tune] curve write failed: %s\n%!" (Store.error_message e));
     r
 
 (* --- curve utilities --------------------------------------------------------- *)

@@ -279,7 +279,9 @@ let execute_tune ?store_dir (spec : Serve.Job.spec) out trace metrics =
     match out with
     | None -> ()
     | Some prefix ->
-      Export.write_curve_csv result (prefix ^ ".csv");
+      (match Export.write_curve_csv result (prefix ^ ".csv") with
+      | Ok () -> ()
+      | Error e -> exit_store_error (prefix ^ ".csv") e);
       (match Export.save_result result (prefix ^ ".json") with
       | Ok () -> ()
       | Error e -> exit_store_error (prefix ^ ".json") e);

@@ -137,9 +137,5 @@ let load_result path =
     | Some s -> Ok s
     | None -> Error (Store.Corrupt (path ^ ": malformed tuning-result payload")))
 
-let write_file path contents =
-  let oc = open_out path in
-  output_string oc contents;
-  close_out oc
-
-let write_curve_csv r path = write_file path (curve_to_csv r)
+let write_curve_csv r path =
+  Store.write_atomic ~path (fun oc -> output_string oc (curve_to_csv r)) |> Result.map ignore

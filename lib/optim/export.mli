@@ -22,7 +22,8 @@ val result_json : Tuner.result -> Json.t
 val result_to_json : Tuner.result -> string
 (** [result_json] pretty-printed. *)
 
-val write_curve_csv : Tuner.result -> string -> unit
+val write_curve_csv : Tuner.result -> string -> (unit, Store.error) result
+(** Atomically write {!curve_to_csv} ({!Store.write_atomic}). *)
 
 (** {2 Versioned result artifact} *)
 

@@ -828,14 +828,16 @@ let run_raw (rc : Tuning_config.run) device base_model graph engine =
   let save_ckpt ~completed =
     match (store, !run_id) with
     | Some s, Some id ->
-      Store.sync s;
+      Telemetry.with_span telemetry "store.sync" (fun () -> Store.sync s);
+      let sp = Telemetry.span_begin telemetry "store.checkpoint" in
       let cp =
         checkpoint_json ~identity ~run_id:id ~completed ~round:!round ~rng ~clock
           ~curve:(List.rev !curve) ~model ~adam:model_adam states
       in
       (match Store.save_checkpoint s cp with
-      | Ok () -> ()
+      | Ok bytes -> Telemetry.span_end telemetry sp ~attrs:[ ("bytes", Telemetry.Int bytes) ]
       | Error e ->
+        Telemetry.span_end telemetry sp ~attrs:[ ("error", Telemetry.Bool true) ];
         Logs.warn (fun m -> m "tuning store checkpoint failed: %s" (Store.error_message e)))
     | _ -> ()
   in

@@ -17,33 +17,78 @@ let error_message = function
 (* --- bit-exact float encoding ---------------------------------------------- *)
 
 module Bits = struct
-  let of_float f = Printf.sprintf "%016Lx" (Int64.bits_of_float f)
+  (* The 8 lowercase hex digits of the 32-bit [v] as the bytes of an
+     int64, most significant first: the nibbles are spread one per byte,
+     then each byte gets '0', plus 'a' - '0' - 10 where its nibble is 10
+     or more (a nibble plus 6 carries into bit 4 exactly then). No byte
+     overflows into the next, so the lanes never interact. *)
+  let[@inline] hex8 v =
+    let x = Int64.of_int v in
+    let x = Int64.logor (Int64.shift_left (Int64.logand x 0xffff0000L) 16) (Int64.logand x 0xffffL) in
+    let x =
+      Int64.logor
+        (Int64.shift_left (Int64.logand x 0x0000ff000000ff00L) 8)
+        (Int64.logand x 0x000000ff000000ffL)
+    in
+    let x =
+      Int64.logor
+        (Int64.shift_left (Int64.logand x 0x00f000f000f000f0L) 4)
+        (Int64.logand x 0x000f000f000f000fL)
+    in
+    let letters =
+      Int64.logand
+        (Int64.shift_right_logical (Int64.add x 0x0606060606060606L) 4)
+        0x0101010101010101L
+    in
+    Int64.add (Int64.add x 0x3030303030303030L) (Int64.mul letters 0x27L)
 
-  let to_float s =
-    if String.length s <> 16 then None
-    else
-      match Int64.of_string_opt ("0x" ^ s) with
-      | Some bits -> Some (Int64.float_of_bits bits)
-      | None -> None
+  (* A character's hex value, or 16 when it is not a hex digit. *)
+  let nibbles =
+    String.init 256 (fun c ->
+        Char.chr
+          (match Char.chr c with
+          | '0' .. '9' -> c - Char.code '0'
+          | 'a' .. 'f' -> c - Char.code 'a' + 10
+          | 'A' .. 'F' -> c - Char.code 'A' + 10
+          | _ -> 16))
+
+  let[@inline] nibble s k = Char.code (String.unsafe_get nibbles (Char.code (String.unsafe_get s k)))
 
   let of_floats arr =
-    let buf = Buffer.create (16 * Array.length arr) in
-    Array.iter (fun f -> Buffer.add_string buf (of_float f)) arr;
-    Buffer.contents buf
+    let b = Bytes.create (16 * Array.length arr) in
+    for i = 0 to Array.length arr - 1 do
+      let bits = Int64.bits_of_float (Array.unsafe_get arr i) in
+      Bytes.set_int64_be b (16 * i) (hex8 (Int64.to_int (Int64.shift_right_logical bits 32)));
+      Bytes.set_int64_be b ((16 * i) + 8) (hex8 (Int64.to_int bits land 0xffff_ffff))
+    done;
+    Bytes.unsafe_to_string b
 
   let to_floats s =
     let n = String.length s in
     if n mod 16 <> 0 then None
     else begin
-      let out = Array.make (n / 16) 0.0 in
-      let ok = ref true in
+      let out = Array.create_float (n / 16) in
+      (* ORs every digit's value: reaches 16 iff some byte was not a digit *)
+      let bad = ref 0 in
       for i = 0 to (n / 16) - 1 do
-        match to_float (String.sub s (i * 16) 16) with
-        | Some f -> out.(i) <- f
-        | None -> ok := false
+        let hi = ref 0 and lo = ref 0 in
+        for k = 16 * i to (16 * i) + 7 do
+          let h = nibble s k and l = nibble s (k + 8) in
+          hi := (!hi lsl 4) lor h;
+          lo := (!lo lsl 4) lor l;
+          bad := !bad lor h lor l
+        done;
+        Array.unsafe_set out i
+          (Int64.float_of_bits
+             (Int64.logor (Int64.shift_left (Int64.of_int !hi) 32) (Int64.of_int !lo)))
       done;
-      if !ok then Some out else None
+      if !bad < 16 then Some out else None
     end
+
+  let of_float f = of_floats [| f |]
+
+  let to_float s =
+    if String.length s <> 16 then None else Option.map (fun a -> a.(0)) (to_floats s)
 end
 
 (* --- low-level file helpers ------------------------------------------------ *)
@@ -70,6 +115,29 @@ let io_protect f =
   | Unix.Unix_error (e, op, arg) ->
     Error (Io (Printf.sprintf "%s(%s): %s" op arg (Unix.error_message e)))
 
+let write_atomic ~path write =
+  io_protect @@ fun () ->
+  let tmp = path ^ ".tmp" in
+  let fd = Unix.openfile tmp [ Unix.O_WRONLY; Unix.O_CREAT; Unix.O_TRUNC ] 0o644 in
+  let oc = Unix.out_channel_of_descr fd in
+  let bytes =
+    match
+      write oc;
+      flush oc;
+      Unix.fsync fd
+    with
+    | () ->
+      let bytes = pos_out oc in
+      close_out oc;
+      bytes
+    | exception e ->
+      close_out_noerr oc;
+      raise e
+  in
+  Sys.rename tmp path;
+  fsync_dir (Filename.dirname path);
+  Ok bytes
+
 (* --- versioned artifacts --------------------------------------------------- *)
 
 module Artifact = struct
@@ -80,19 +148,13 @@ module Artifact = struct
            [ ("kind", Json.Str kind); ("version", Json.Num (float_of_int version)) ]);
         ("payload", payload) ]
 
+  let write ~path ~kind ~version payload =
+    write_atomic ~path (fun oc ->
+        Json.output oc (envelope ~kind ~version payload);
+        output_char oc '\n')
+
   let save ~path ~kind ~version payload =
-    io_protect @@ fun () ->
-    let tmp = path ^ ".tmp" in
-    let fd = Unix.openfile tmp [ Unix.O_WRONLY; Unix.O_CREAT; Unix.O_TRUNC ] 0o644 in
-    let oc = Unix.out_channel_of_descr fd in
-    output_string oc (Json.to_string (envelope ~kind ~version payload));
-    output_char oc '\n';
-    flush oc;
-    Unix.fsync fd;
-    close_out oc;
-    Sys.rename tmp path;
-    fsync_dir (Filename.dirname path);
-    Ok ()
+    Result.map ignore (write ~path ~kind ~version payload)
 
   let load ~path ~kind ~version =
     if not (Sys.file_exists path) then Error (Not_found path)
@@ -471,7 +533,7 @@ let completed_failures t ~device ~task_key =
 let checkpoint_path t = Filename.concat t.store_dir "checkpoint.json"
 
 let save_checkpoint t json =
-  Artifact.save ~path:(checkpoint_path t) ~kind:checkpoint_kind
+  Artifact.write ~path:(checkpoint_path t) ~kind:checkpoint_kind
     ~version:checkpoint_version json
 
 let load_checkpoint t =

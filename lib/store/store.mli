@@ -42,11 +42,27 @@ module Bits : sig
       float including infinities and NaNs. *)
 
   val to_float : string -> float option
+  (** Inverse of {!of_float}, bit-exact. Accepts exactly 16 hex digits
+      (either case) and nothing else: a wrong length, a sign, a [0x]
+      prefix, an [_] separator or any other non-hex byte is [None]. *)
+
   val of_floats : float array -> string
   (** Concatenated 16-char chunks (no separator). *)
 
   val to_floats : string -> float array option
+  (** Inverse of {!of_floats}: [None] unless the length is a multiple of
+      16 and every chunk is accepted by {!to_float}. *)
 end
+
+(** {1 Atomic files} *)
+
+val write_atomic : path:string -> (out_channel -> unit) -> (int, error) result
+(** [write_atomic ~path write] runs [write] on a channel to [path ^ ".tmp"],
+    fsyncs it, renames it over [path] and fsyncs the directory, so a crash
+    leaves either the old file or the new one, never a torn one. Returns
+    the number of bytes written. Every durable whole-file writer goes
+    through it. I/O failures are [Error (Io _)]; an exception raised by
+    [write] propagates. *)
 
 (** {1 Versioned artifacts}
 
@@ -58,7 +74,10 @@ end
 module Artifact : sig
   val save :
     path:string -> kind:string -> version:int -> Json.t -> (unit, error) result
-  (** Atomic: writes [path ^ ".tmp"], fsyncs, renames over [path]. *)
+  (** Atomic ({!write_atomic}), and streaming: the envelope is rendered
+      straight into the file with {!Json.output}, byte-identical to
+      [Json.to_string] plus a newline, without building the text in
+      memory first. *)
 
   val load :
     path:string -> kind:string -> version:int -> (Json.t, error) result
@@ -156,7 +175,9 @@ val completed_failures :
 
 (** {2 Checkpoints} *)
 
-val save_checkpoint : t -> Json.t -> (unit, error) result
+val save_checkpoint : t -> Json.t -> (int, error) result
+(** Atomically replaces the checkpoint; returns the bytes written. *)
+
 val load_checkpoint : t -> (Json.t, error) result
 (** [Error (Not_found _)] when no checkpoint has been written yet. *)
 

@@ -6,21 +6,61 @@ type t =
   | List of t list
   | Obj of (string * t) list
 
+let needs_escape c = c = '"' || c = '\\' || Char.code c < 0x20
+
+(* The first index at or after [i] (below [n]) whose byte needs escaping,
+   or [n]. Eight bytes are tested at a time: a word is plain unless some
+   byte is below 0x20 or equals '"' (0x22) or '\\' (0x5c); [low x k] has
+   a byte's top bit set when that byte of [x] is below the byte of [k]. *)
+let rec plain_until s i n =
+  if
+    i + 8 <= n
+    &&
+    let w = String.get_int64_ne s i in
+    let q = Int64.logxor w 0x2222222222222222L
+    and b = Int64.logxor w 0x5c5c5c5c5c5c5c5cL in
+    let[@inline] low x k = Int64.logand (Int64.sub x k) (Int64.lognot x) in
+    Int64.equal
+      (Int64.logand
+         (Int64.logor (low w 0x2020202020202020L)
+            (Int64.logor (low q 0x0101010101010101L) (low b 0x0101010101010101L)))
+         0x8080808080808080L)
+      0L
+  then plain_until s (i + 8) n
+  else if i < n && not (needs_escape (String.unsafe_get s i)) then plain_until s (i + 1) n
+  else i
+
+(* Writes [s] escaped (without quotes) as maximal plain runs cut at the
+   bytes that need an escape, so an escape-free string is one [sub]. *)
+let write_escaped sub s =
+  let n = String.length s in
+  let rec go start =
+    let i = plain_until s start n in
+    if i > start then sub s start (i - start);
+    if i < n then begin
+      let e =
+        match s.[i] with
+        | '"' -> "\\\""
+        | '\\' -> "\\\\"
+        | '\n' -> "\\n"
+        | '\r' -> "\\r"
+        | '\t' -> "\\t"
+        | c -> Printf.sprintf "\\u%04x" (Char.code c)
+      in
+      sub e 0 (String.length e);
+      go (i + 1)
+    end
+  in
+  go 0
+
 let escape s =
-  let buf = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | '\r' -> Buffer.add_string buf "\\r"
-      | '\t' -> Buffer.add_string buf "\\t"
-      | c when Char.code c < 0x20 ->
-        Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
+  let n = String.length s in
+  if plain_until s 0 n = n then s
+  else begin
+    let buf = Buffer.create (n + 8) in
+    write_escaped (Buffer.add_substring buf) s;
+    Buffer.contents buf
+  end
 
 (* Shortest decimal expansion that survives [float_of_string]; integers up
    to 2^53 print without a point so counters stay readable. *)
@@ -35,81 +75,77 @@ let fmt_num v =
   end
   else "null" (* JSON has no infinity *)
 
-let to_string ?(indent = 2) t =
-  let buf = Buffer.create 256 in
-  let pad depth = String.make (indent * depth) ' ' in
-  let rec go depth t =
-    match t with
-    | Null -> Buffer.add_string buf "null"
-    | Bool b -> Buffer.add_string buf (if b then "true" else "false")
-    | Num v -> Buffer.add_string buf (fmt_num v)
-    | Str s ->
-      Buffer.add_char buf '"';
-      Buffer.add_string buf (escape s);
-      Buffer.add_char buf '"'
-    | List [] -> Buffer.add_string buf "[]"
+(* The one writer behind [to_string], [to_line] and [output]. [sub s off
+   len] appends a slice of [s] to the destination; [indent = None] is the
+   compact single-line form. Strings go out as slices of themselves, so a
+   large escape-free string is never copied into an intermediate. *)
+let spaces = String.make 64 ' '
+
+let write ~indent sub t =
+  let str s = sub s 0 (String.length s) in
+  let rec pad n =
+    if n > 0 then begin
+      let k = min n (String.length spaces) in
+      sub spaces 0 k;
+      pad (n - k)
+    end
+  in
+  let newline depth =
+    match indent with
+    | None -> ()
+    | Some w ->
+      str "\n";
+      pad (w * depth)
+  in
+  let colon = if indent = None then ":" else ": " in
+  let quoted s =
+    str "\"";
+    write_escaped sub s;
+    str "\""
+  in
+  let rec go depth = function
+    | Null -> str "null"
+    | Bool b -> str (if b then "true" else "false")
+    | Num v -> str (fmt_num v)
+    | Str s -> quoted s
+    | List [] -> str "[]"
+    | Obj [] -> str "{}"
     | List items ->
-      Buffer.add_string buf "[\n";
+      str "[";
       List.iteri
         (fun i item ->
-          if i > 0 then Buffer.add_string buf ",\n";
-          Buffer.add_string buf (pad (depth + 1));
+          if i > 0 then str ",";
+          newline (depth + 1);
           go (depth + 1) item)
         items;
-      Buffer.add_char buf '\n';
-      Buffer.add_string buf (pad depth);
-      Buffer.add_char buf ']'
-    | Obj [] -> Buffer.add_string buf "{}"
+      newline depth;
+      str "]"
     | Obj fields ->
-      Buffer.add_string buf "{\n";
+      str "{";
       List.iteri
         (fun i (k, v) ->
-          if i > 0 then Buffer.add_string buf ",\n";
-          Buffer.add_string buf (pad (depth + 1));
-          Buffer.add_char buf '"';
-          Buffer.add_string buf (escape k);
-          Buffer.add_string buf "\": ";
+          if i > 0 then str ",";
+          newline (depth + 1);
+          quoted k;
+          str colon;
           go (depth + 1) v)
         fields;
-      Buffer.add_char buf '\n';
-      Buffer.add_string buf (pad depth);
-      Buffer.add_char buf '}'
+      newline depth;
+      str "}"
   in
-  go 0 t;
+  go 0 t
+
+let to_string ?(indent = 2) t =
+  let buf = Buffer.create 256 in
+  write ~indent:(Some indent) (Buffer.add_substring buf) t;
   Buffer.contents buf
 
 let to_line t =
   let buf = Buffer.create 256 in
-  let rec go = function
-    | Null -> Buffer.add_string buf "null"
-    | Bool b -> Buffer.add_string buf (if b then "true" else "false")
-    | Num v -> Buffer.add_string buf (fmt_num v)
-    | Str s ->
-      Buffer.add_char buf '"';
-      Buffer.add_string buf (escape s);
-      Buffer.add_char buf '"'
-    | List items ->
-      Buffer.add_char buf '[';
-      List.iteri
-        (fun i item ->
-          if i > 0 then Buffer.add_char buf ',';
-          go item)
-        items;
-      Buffer.add_char buf ']'
-    | Obj fields ->
-      Buffer.add_char buf '{';
-      List.iteri
-        (fun i (k, v) ->
-          if i > 0 then Buffer.add_char buf ',';
-          Buffer.add_char buf '"';
-          Buffer.add_string buf (escape k);
-          Buffer.add_string buf "\":";
-          go v)
-        fields;
-      Buffer.add_char buf '}'
-  in
-  go t;
+  write ~indent:None (Buffer.add_substring buf) t;
   Buffer.contents buf
+
+let output ?(indent = 2) oc t = write ~indent:(Some indent) (output_substring oc) t
 
 (* --- parser ---------------------------------------------------------------- *)
 
@@ -158,60 +194,84 @@ let parse s =
   in
   let hex4 () =
     if !pos + 4 > n then fail "short \\u escape";
-    let code =
-      match int_of_string_opt ("0x" ^ String.sub s !pos 4) with
-      | Some c -> c
-      | None -> fail "bad \\u escape"
+    (* exactly four hex digits: no sign, prefix or '_' separator *)
+    let digit c =
+      match c with
+      | '0' .. '9' -> Char.code c - Char.code '0'
+      | 'a' .. 'f' -> Char.code c - Char.code 'a' + 10
+      | 'A' .. 'F' -> Char.code c - Char.code 'A' + 10
+      | _ -> fail "bad \\u escape"
     in
+    let code = ref 0 in
+    for k = 0 to 3 do
+      code := (!code lsl 4) lor digit s.[!pos + k]
+    done;
     pos := !pos + 4;
-    code
+    !code
+  in
+  (* Advances past bytes that need no unescaping; returns where the run
+     began. *)
+  let plain_run () =
+    let run = !pos in
+    pos := plain_until s run n;
+    run
   in
   let parse_string () =
     expect '"';
-    let buf = Buffer.create 16 in
-    let rec go () =
-      if !pos >= n then fail "unterminated string"
-      else
-        match s.[!pos] with
-        | '"' -> advance ()
-        | '\\' ->
-          advance ();
-          (if !pos >= n then fail "unterminated escape"
-           else
-             match s.[!pos] with
-             | '"' -> Buffer.add_char buf '"'; advance ()
-             | '\\' -> Buffer.add_char buf '\\'; advance ()
-             | '/' -> Buffer.add_char buf '/'; advance ()
-             | 'n' -> Buffer.add_char buf '\n'; advance ()
-             | 'r' -> Buffer.add_char buf '\r'; advance ()
-             | 't' -> Buffer.add_char buf '\t'; advance ()
-             | 'b' -> Buffer.add_char buf '\b'; advance ()
-             | 'f' -> Buffer.add_char buf '\012'; advance ()
-             | 'u' ->
-               advance ();
-               let code = hex4 () in
-               if code >= 0xD800 && code <= 0xDBFF then begin
-                 (* High surrogate: a low surrogate must follow. *)
-                 if !pos + 2 <= n && s.[!pos] = '\\' && s.[!pos + 1] = 'u' then begin
-                   pos := !pos + 2;
-                   let lo = hex4 () in
-                   if lo >= 0xDC00 && lo <= 0xDFFF then
-                     add_utf8 buf
-                       (0x10000 + ((code - 0xD800) lsl 10) + (lo - 0xDC00))
-                   else fail "invalid low surrogate"
+    let run = plain_run () in
+    if !pos < n && s.[!pos] = '"' then begin
+      (* No backslash: the literal is one slice of the input. *)
+      advance ();
+      String.sub s run (!pos - 1 - run)
+    end
+    else begin
+      let buf = Buffer.create (!pos - run + 16) in
+      Buffer.add_substring buf s run (!pos - run);
+      let rec go () =
+        if !pos >= n then fail "unterminated string"
+        else
+          match s.[!pos] with
+          | '"' -> advance ()
+          | '\\' ->
+            advance ();
+            (if !pos >= n then fail "unterminated escape"
+             else
+               match s.[!pos] with
+               | '"' -> Buffer.add_char buf '"'; advance ()
+               | '\\' -> Buffer.add_char buf '\\'; advance ()
+               | '/' -> Buffer.add_char buf '/'; advance ()
+               | 'n' -> Buffer.add_char buf '\n'; advance ()
+               | 'r' -> Buffer.add_char buf '\r'; advance ()
+               | 't' -> Buffer.add_char buf '\t'; advance ()
+               | 'b' -> Buffer.add_char buf '\b'; advance ()
+               | 'f' -> Buffer.add_char buf '\012'; advance ()
+               | 'u' ->
+                 advance ();
+                 let code = hex4 () in
+                 if code >= 0xD800 && code <= 0xDBFF then begin
+                   (* High surrogate: a low surrogate must follow. *)
+                   if !pos + 2 <= n && s.[!pos] = '\\' && s.[!pos + 1] = 'u' then begin
+                     pos := !pos + 2;
+                     let lo = hex4 () in
+                     if lo >= 0xDC00 && lo <= 0xDFFF then
+                       add_utf8 buf
+                         (0x10000 + ((code - 0xD800) lsl 10) + (lo - 0xDC00))
+                     else fail "invalid low surrogate"
+                   end
+                   else fail "unpaired surrogate"
                  end
-                 else fail "unpaired surrogate"
-               end
-               else if code >= 0xDC00 && code <= 0xDFFF then
-                 fail "unpaired low surrogate"
-               else add_utf8 buf code
-             | c -> fail (Printf.sprintf "bad escape \\%c" c));
-          go ()
-        | c when Char.code c < 0x20 -> fail "unescaped control character"
-        | c -> Buffer.add_char buf c; advance (); go ()
-    in
-    go ();
-    Buffer.contents buf
+                 else if code >= 0xDC00 && code <= 0xDFFF then
+                   fail "unpaired low surrogate"
+                 else add_utf8 buf code
+               | c -> fail (Printf.sprintf "bad escape \\%c" c));
+            let run = plain_run () in
+            Buffer.add_substring buf s run (!pos - run);
+            go ()
+          | _ -> fail "unescaped control character"
+      in
+      go ();
+      Buffer.contents buf
+    end
   in
   let parse_number () =
     (* RFC 8259 number grammar: an optional minus, then "0" or a non-zero

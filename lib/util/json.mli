@@ -23,7 +23,16 @@ type t =
 
 val escape : string -> string
 (** RFC 8259 string escaping: quote, backslash and control characters are
-    escaped; all other bytes pass through verbatim. *)
+    escaped; all other bytes pass through verbatim. A string with nothing
+    to escape is returned as is, without a copy. *)
+
+(** {2 Rendering}
+
+    [to_string], [to_line] and [output] are thin wrappers over one
+    streaming walker, so the three renderings cannot drift apart: the
+    indented forms differ only in their destination, and the compact
+    form only in dropping the newlines, indentation and the space after
+    [':']. *)
 
 val to_string : ?indent:int -> t -> string
 (** Pretty-printed rendering with the given indentation (default 2). *)
@@ -32,11 +41,19 @@ val to_line : t -> string
 (** Compact single-line rendering (no spaces, no newline) — the JSONL
     form used by the telemetry trace sink and the tuning-store journal. *)
 
+val output : ?indent:int -> out_channel -> t -> unit
+(** [output oc t] writes exactly the bytes of [to_string ?indent t] to
+    [oc], streaming: no string of the whole rendering is built, and
+    string values are written as slices of themselves. Used for large
+    artifacts such as the per-round store checkpoint. *)
+
 val parse : string -> (t, string) result
 (** Strict RFC 8259 parser. Handles the full escape repertoire including
     [\uXXXX] (surrogate pairs decode to UTF-8); rejects trailing input,
     unterminated strings and malformed numbers with a message carrying
-    the byte offset. *)
+    the byte offset. A string literal without a backslash is taken as one
+    slice of the input; control characters are rejected wherever they
+    occur. *)
 
 (** {2 Accessors}
 

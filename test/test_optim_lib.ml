@@ -511,7 +511,9 @@ let test_export_roundtrip () =
   (* files: CSV plus the versioned result artifact, reloaded bit-exactly *)
   let p1 = Filename.temp_file "felix_curve" ".csv" in
   let p2 = Filename.temp_file "felix_res" ".json" in
-  Export.write_curve_csv r p1;
+  (match Export.write_curve_csv r p1 with
+  | Ok () -> ()
+  | Error e -> Alcotest.failf "write_curve_csv: %s" (Store.error_message e));
   (match Export.save_result r p2 with
   | Ok () -> ()
   | Error e -> Alcotest.failf "save_result: %s" (Store.error_message e));

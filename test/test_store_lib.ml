@@ -64,6 +64,64 @@ let test_bits_roundtrip () =
   Alcotest.(check bool) "non-hex rejected" true
     (Store.Bits.to_float "zzzzzzzzzzzzzzzz" = None)
 
+(* Random bit patterns, weighted towards the classes a word-at-a-time codec
+   could get wrong: NaN payloads, subnormals, signed zeros and infinities. *)
+let bits_gen =
+  let open QCheck2.Gen in
+  let exp_mant e m = Int64.logor (Int64.shift_left (Int64.of_int e) 52) m in
+  let mant = map (fun m -> Int64.logand m 0xf_ffff_ffff_ffffL) int64 in
+  frequency
+    [ (4, int64);
+      (1, map2 (fun sign m -> Int64.logor (exp_mant (if sign then 0xfff else 0x7ff) m) 1L) bool mant);
+      (1, map2 (fun sign m -> exp_mant (if sign then 0x800 else 0) m) bool mant);
+      (1, oneofl [ 0L; Int64.min_int; 0x7ff0000000000000L; 0xfff0000000000000L; -1L; 1L ]) ]
+
+let test_bits_oracle =
+  (* [Printf "%016Lx"] is the encoder the store was specified with; the
+     word-at-a-time codec must agree with it byte for byte. *)
+  Testutil.qtest ~count:2000 "bits codec matches %016Lx and inverts it" bits_gen (fun bits ->
+      let f = Int64.float_of_bits bits in
+      let s = Store.Bits.of_float f in
+      s = Printf.sprintf "%016Lx" bits
+      && Option.map Int64.bits_of_float (Store.Bits.to_float s) = Some bits
+      && Option.map Int64.bits_of_float (Store.Bits.to_float (String.uppercase_ascii s))
+         = Some bits
+      && Option.map (Array.map Int64.bits_of_float) (Store.Bits.to_floats (s ^ s))
+         = Some [| bits; bits |])
+
+let test_bits_reject_noncanonical () =
+  let one = Store.Bits.of_float 1.0 in
+  let rejected what s =
+    if Store.Bits.to_float s <> None then Alcotest.failf "to_float accepted %s %S" what s;
+    (* the same chunk inside a longer run, in front of and behind a good one *)
+    if Store.Bits.to_floats (one ^ s) <> None || Store.Bits.to_floats (s ^ one) <> None then
+      Alcotest.failf "to_floats accepted %s %S" what s
+  in
+  (* OCaml's digit separator: "3ff00000000000_0" once decoded to 0x1.fp-960. *)
+  rejected "separator" "3ff00000000000_0";
+  (* every byte value at every position ('_', 'x', signs, NUL, high bytes
+     included): hex digits of either case decode, all else is rejected *)
+  for i = 0 to 15 do
+    for c = 0 to 255 do
+      let s = String.mapi (fun j d -> if j = i then Char.chr c else d) one in
+      match Char.chr c with
+      | '0' .. '9' | 'a' .. 'f' | 'A' .. 'F' ->
+        Alcotest.(check (option string)) "hex digit accepted" (Some (String.lowercase_ascii s))
+          (Option.map (fun f -> Printf.sprintf "%016Lx" (Int64.bits_of_float f))
+             (Store.Bits.to_float s))
+      | _ -> rejected "non-hex byte" s
+    done
+  done
+
+let test_bits_reject_ragged () =
+  let two = Store.Bits.of_floats [| 1.0; -2.0 |] in
+  Alcotest.(check bool) "empty ok" true (Store.Bits.to_floats "" = Some [||]);
+  List.iter
+    (fun n ->
+      if Store.Bits.to_floats (String.sub two 0 n) <> None then
+        Alcotest.failf "to_floats accepted length %d" n)
+    [ 1; 8; 15; 17; 24; 31 ]
+
 (* --- artifacts --------------------------------------------------------------- *)
 
 let test_artifact_envelope () =
@@ -400,6 +458,10 @@ let test_warm_start_saves_measurements () =
 
 let tests =
   [ Alcotest.test_case "float bits round-trip" `Quick test_bits_roundtrip;
+    test_bits_oracle;
+    Alcotest.test_case "bits decoder rejects non-canonical text" `Quick
+      test_bits_reject_noncanonical;
+    Alcotest.test_case "bits to_floats rejects ragged lengths" `Quick test_bits_reject_ragged;
     Alcotest.test_case "artifact envelope (kind/version/corrupt)" `Quick
       test_artifact_envelope;
     Alcotest.test_case "journal survives reopen" `Quick test_journal_reopen;

@@ -251,6 +251,153 @@ let test_json_number_bits () =
     [ 0.0; -0.0; 0.1; 1.0 /. 3.0; Float.pi; 1e-308; 4.9e-324;
       1.7976931348623157e308; -2.5e-15; 123456789.123456789 ]
 
+(* One value touching every writer case: nesting, empty containers,
+   escapes (quote, backslash, control characters, a key that needs
+   escaping), bytes that pass verbatim (DEL, UTF-8), a hex bit string,
+   and integral, fractional and non-finite numbers. *)
+let golden_value =
+  Json.Obj
+    [ ("name", Json.Str "felix");
+      ("esc", Json.Str "q\"b\\s/n\nr\rt\tc\x01\x1f\x7f\xc3\xa9");
+      ("bits", Json.Str "3ff0000000000000400921fb54442d18fff8000000000000");
+      ( "nums",
+        Json.List
+          [ Json.Num 0.0; Json.Num (-0.0); Json.Num (-3.0); Json.Num 1e15; Json.Num 123456789.0;
+            Json.Num 0.1; Json.Num (1.0 /. 3.0); Json.Num (-2.5e-15); Json.Num 1.5;
+            Json.Num infinity ] );
+      ("empty", Json.Obj [ ("l", Json.List []); ("o", Json.Obj []); ("s", Json.Str "") ]);
+      ( "nested",
+        Json.List
+          [ Json.Obj [ ("a", Json.List [ Json.Null; Json.Bool true; Json.Bool false ]) ];
+            Json.List [ Json.List []; Json.Obj [ ("\t", Json.Num 7.0) ] ] ] );
+      ("k\"ey\n", Json.Num 42.0) ]
+
+(* The text the writer produced before it was streamed; on-disk artifacts
+   depend on every byte of it. *)
+let golden_esc = {|"q\"b\\s/n\nr\rt\tc\u0001\u001f|} ^ "\x7f\xc3\xa9\""
+
+let golden_pretty =
+  String.concat "\n"
+    [ "{";
+      {|  "name": "felix",|};
+      {|  "esc": |} ^ golden_esc ^ ",";
+      {|  "bits": "3ff0000000000000400921fb54442d18fff8000000000000",|};
+      {|  "nums": [|};
+      "    0,"; "    -0,"; "    -3,"; "    1e+15,"; "    123456789,"; "    0.1,";
+      "    0.3333333333333333,"; "    -2.5e-15,"; "    1.5,"; "    null";
+      "  ],";
+      {|  "empty": {|};
+      {|    "l": [],|};
+      {|    "o": {},|};
+      {|    "s": ""|};
+      "  },";
+      {|  "nested": [|};
+      "    {";
+      {|      "a": [|};
+      "        null,"; "        true,"; "        false";
+      "      ]";
+      "    },";
+      "    [";
+      "      [],";
+      "      {";
+      {|        "\t": 7|};
+      "      }";
+      "    ]";
+      "  ],";
+      {|  "k\"ey\n": 42|};
+      "}" ]
+
+let golden_line =
+  {|{"name":"felix","esc":|} ^ golden_esc
+  ^ {|,"bits":"3ff0000000000000400921fb54442d18fff8000000000000",|}
+  ^ {|"nums":[0,-0,-3,1e+15,123456789,0.1,0.3333333333333333,-2.5e-15,1.5,null],|}
+  ^ {|"empty":{"l":[],"o":{},"s":""},"nested":[{"a":[null,true,false]},[[],{"\t":7}]],|}
+  ^ {|"k\"ey\n":42}|}
+
+let test_json_golden_text () =
+  Alcotest.(check string) "to_string" golden_pretty (Json.to_string golden_value);
+  Alcotest.(check string) "to_line" golden_line (Json.to_line golden_value);
+  Alcotest.(check string) "to_string ~indent:4" "[\n    {\n        \"x\": 1\n    }\n]"
+    (Json.to_string ~indent:4 (Json.List [ Json.Obj [ ("x", Json.Num 1.0) ] ]));
+  let path = Filename.temp_file "felix_json" ".json" in
+  let oc = open_out_bin path in
+  Json.output oc golden_value;
+  close_out oc;
+  let ic = open_in_bin path in
+  let text = really_input_string ic (in_channel_length ic) in
+  close_in ic;
+  Sys.remove path;
+  Alcotest.(check string) "output" golden_pretty text
+
+let test_json_escape_no_copy () =
+  let plain = String.make 1000 'a' ^ "caf\xc3\xa9 /\x7f" in
+  Alcotest.(check bool) "escape-free string returned as is" true (Json.escape plain == plain)
+
+(* The byte-at-a-time escaper the word-at-a-time scan replaced, kept as
+   the oracle. *)
+let reference_escape s =
+  let buf = Buffer.create 16 in
+  String.iter
+    (fun c ->
+      match c with
+      | '"' -> Buffer.add_string buf "\\\""
+      | '\\' -> Buffer.add_string buf "\\\\"
+      | '\n' -> Buffer.add_string buf "\\n"
+      | '\r' -> Buffer.add_string buf "\\r"
+      | '\t' -> Buffer.add_string buf "\\t"
+      | c when Char.code c < 0x20 -> Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
+      | c -> Buffer.add_char buf c)
+    s;
+  Buffer.contents buf
+
+let test_json_escape_oracle =
+  (* Mostly plain bytes, with the escaped ones and their neighbours
+     (0x1f/0x20, 0x21/0x23, 0x5b/0x5d, high bytes) at random offsets, so
+     specials land in every byte lane of the eight-byte scan. *)
+  let gen =
+    QCheck2.Gen.(
+      string_size
+        ~gen:
+          (frequency
+             [ (8, char_range 'a' 'z');
+               ( 2,
+                 oneofl
+                   [ '"'; '\\'; '\n'; '\r'; '\t'; '\000'; '\x1f'; ' '; '!'; '#'; '['; ']';
+                     '\x7f'; '\x80'; '\xa2'; '\xdc'; '\xff' ] ) ])
+        (int_range 0 48))
+  in
+  Testutil.qtest ~count:1000 "json escape and parse agree with the byte-wise oracle" gen
+    (fun s ->
+      let e = Json.escape s in
+      e = reference_escape s
+      && Json.to_line (Json.Str s) = "\"" ^ e ^ "\""
+      && Json.parse ("\"" ^ e ^ "\"") = Ok (Json.Str s))
+
+let test_json_parse_string_runs () =
+  let run = String.make 5000 'x' in
+  Alcotest.(check bool) "escape after a long plain run" true
+    (Json.parse ("\"" ^ run ^ {|\n\u00e9"|}) = Ok (Json.Str (run ^ "\n\xc3\xa9")));
+  Alcotest.(check bool) "plain run after an escape" true
+    (Json.parse ({|["\"|} ^ run ^ {|",1]|}) = Ok (Json.List [ Json.Str ("\"" ^ run); Json.Num 1.0 ]));
+  let bad s =
+    match Json.parse s with
+    | Error _ -> ()
+    | Ok _ -> Alcotest.failf "accepted malformed input %S" (String.sub s 0 (min 20 (String.length s)))
+  in
+  (* a control character as the last byte of the input, with and without an
+     earlier escape, and as the last byte before the closing quote *)
+  bad ("\"" ^ run ^ "\x01");
+  bad ("\"" ^ run ^ {|\t|} ^ "\x1f");
+  bad ("\"" ^ run ^ "\n\"");
+  bad ("\"" ^ run ^ {|\n|} ^ run ^ "\x00\"");
+  bad ("\"" ^ run);
+  bad ("\"" ^ run ^ "\\");
+  (* \u takes exactly four hex digits *)
+  bad {|"\u00_1"|};
+  bad {|"\u+041"|};
+  bad {|"\u00e"|};
+  Alcotest.(check bool) "uppercase \\u digits" true (Json.parse {|"\u00C9"|} = Ok (Json.Str "\xc3\x89"))
+
 let json_gen =
   let open QCheck2.Gen in
   let str_g = string_size ~gen:(map Char.chr (int_range 0 127)) (int_range 0 10) in
@@ -287,5 +434,11 @@ let tests =
       Alcotest.test_case "json parse rejects malformed input" `Quick test_json_parse_rejects;
       Alcotest.test_case "json writer escapes" `Quick test_json_escape_writer;
       Alcotest.test_case "json numbers round-trip bit-exactly" `Quick test_json_number_bits;
+      Alcotest.test_case "json golden text (to_string, to_line, output)" `Quick
+        test_json_golden_text;
+      Alcotest.test_case "json escape returns escape-free input" `Quick test_json_escape_no_copy;
+      test_json_escape_oracle;
+      Alcotest.test_case "json parse string runs and control bytes" `Quick
+        test_json_parse_string_runs;
       test_json_roundtrip_pretty;
       test_json_roundtrip_line ]
