@@ -20,9 +20,7 @@ let experiments =
     ("tab2b", "milestone speedups, batch 16", Experiments.tab2b);
     ("ablation", "design-choice ablations (width, lambda, budget, lr)", Ablation.run);
     ("par", "sequential vs multi-domain tuning rounds", Parallel.run);
-    ("hotpath", "legacy vs fused objective-gradient inner loop", Hotpath.run);
-    ("batch", "scalar vs lockstep SoA descent across the population", Batch.run);
-    ("tape", "interpreted vs compiled superop tape sweeps", Tape.run);
+    ("tape", "scalar interpreter vs compiled superop tape sweeps", Tape.run);
     ("warmstart", "time-to-target with and without a warm tuning store", Warmstart.run);
     ("prepare", "cold-parallel and warm-disk pack compilation", Prepare.run);
     ("measure", "measurement seam overhead and fault-injection grid", Measure_bench.run) ]
@@ -99,13 +97,11 @@ let micro () =
 
 let () =
   let args = Array.to_list Sys.argv |> List.tl in
-  (* --smoke shrinks the hotpath and batch experiments to CI-sized runs. *)
+  (* --smoke shrinks the gated experiments to CI-sized runs. *)
   let args =
     List.filter
       (fun a ->
         if a = "--smoke" then begin
-          Hotpath.smoke := true;
-          Batch.smoke := true;
           Tape.smoke := true;
           Warmstart.smoke := true;
           Prepare.smoke := true;

@@ -78,19 +78,6 @@ let jobs_arg =
                  to the FELIX_JOBS environment variable (else 1). Results are \
                  bit-identical at any value.")
 
-let gd_batch_arg =
-  let default =
-    match Sys.getenv_opt "FELIX_BATCH" with
-    | Some s -> (try max 1 (int_of_string (String.trim s)) with _ -> 1)
-    | None -> 1
-  in
-  Arg.(value & opt int default
-       & info [ "gd-batch" ] ~docv:"B"
-           ~doc:"Descend $(docv) candidate schedules in lockstep through the \
-                 batched structure-of-arrays kernels (1 = scalar path). Defaults \
-                 to the FELIX_BATCH environment variable (else 1). Results are \
-                 bit-identical at any value.")
-
 (* Measurement-policy flags; env-variable fallbacks mirror FELIX_JOBS:
    unset, empty or unparsable means the built-in default. Range errors are
    caught by Tuner.validate's typed Invalid_config path, not here. *)
@@ -203,13 +190,13 @@ let pack_cache_arg =
 (* One job specification drives [tune], [submit] and the [run.json]
    invocation record that [resume] replays: the shared Serve.Job codec
    means the three paths cannot drift apart. *)
-let spec_of ~net ~device ~rounds ~batch ~seed ~quick ~engine ~jobs ~gd_batch
+let spec_of ~net ~device ~rounds ~batch ~seed ~quick ~engine ~jobs
     ~measure ~deadline ~store_dir ~pack_cache =
   let search = config_of_quick quick rounds in
   let run =
     Tuning_config.(
       builder |> with_search search |> with_seed seed |> with_jobs jobs
-      |> with_batch gd_batch |> with_measurer measure)
+      |> with_measurer measure)
   in
   let run =
     match pack_cache with
@@ -288,52 +275,43 @@ let execute_tune ?store_dir (spec : Serve.Job.spec) out trace metrics =
       Printf.printf "wrote %s.csv and %s.json\n" prefix prefix
 
 let tune_cmd =
-  let run net device rounds batch seed quick engine jobs gd_batch measure_timeout
+  let run net device rounds batch seed quick engine jobs measure_timeout
       measure_retries chaos store_dir pack_cache out trace metrics =
     let measure =
       measure_of ~timeout:measure_timeout ~retries:measure_retries ~chaos ~seed
     in
     let spec =
-      spec_of ~net ~device ~rounds ~batch ~seed ~quick ~engine ~jobs ~gd_batch
+      spec_of ~net ~device ~rounds ~batch ~seed ~quick ~engine ~jobs
         ~measure ~deadline:None ~store_dir:None ~pack_cache
     in
     execute_tune ?store_dir spec out trace metrics
   in
   Cmd.v (Cmd.info "tune" ~doc:"Tune a network's schedules for a device.")
     Term.(const run $ network_arg $ device_arg $ rounds_arg $ batch_arg $ seed_arg
-          $ quick_arg $ engine_arg $ jobs_arg $ gd_batch_arg $ measure_timeout_arg
+          $ quick_arg $ engine_arg $ jobs_arg $ measure_timeout_arg
           $ measure_retries_arg $ chaos_arg $ store_arg $ pack_cache_arg $ out_arg
           $ trace_arg $ metrics_arg)
 
-(* Optional parallelism overrides for [resume]: omitted flags keep the
-   recorded invocation's values (results are invariant either way). *)
+(* Optional parallelism override for [resume]: an omitted flag keeps the
+   recorded invocation's value (results are invariant either way). *)
 let jobs_override_arg =
   Arg.(value & opt (some int) None
        & info [ "jobs"; "j" ] ~docv:"N"
            ~doc:"Override the recorded domain parallelism. Results are \
                  bit-identical at any value.")
 
-let gd_batch_override_arg =
-  Arg.(value & opt (some int) None
-       & info [ "gd-batch" ] ~docv:"B"
-           ~doc:"Override the recorded lockstep descent batch width. Results \
-                 are bit-identical at any value.")
-
 let resume_cmd =
   let dir_arg =
     Arg.(required & pos 0 (some dir) None & info [] ~docv:"DIR"
            ~doc:"Store directory of the interrupted $(b,tune --store) run.")
   in
-  let run dir jobs gd_batch pack_cache out trace metrics =
+  let run dir jobs pack_cache out trace metrics =
     match Serve.Job.load_invocation ~dir with
     | Error e -> exit_store_error dir e
     | Ok spec ->
       let rc = spec.Serve.Job.run in
       let rc =
         match jobs with Some j -> Tuning_config.with_jobs j rc | None -> rc
-      in
-      let rc =
-        match gd_batch with Some b -> Tuning_config.with_batch b rc | None -> rc
       in
       let rc =
         match pack_cache with
@@ -354,7 +332,7 @@ let resume_cmd =
          "Continue an interrupted tuning run from its store directory, \
           bit-identically to the uninterrupted run. Parallelism flags may \
           differ from the original invocation; results do not depend on them.")
-    Term.(const run $ dir_arg $ jobs_override_arg $ gd_batch_override_arg
+    Term.(const run $ dir_arg $ jobs_override_arg
           $ pack_cache_arg $ out_arg $ trace_arg $ metrics_arg)
 
 (* --- the tuning service ----------------------------------------------------- *)
@@ -457,7 +435,7 @@ let submit_cmd =
              ~doc:"With $(b,--wait): write the finished job's result artifact to \
                    $(docv) (byte-identical to $(b,tune -o)'s JSON).")
   in
-  let run net device rounds batch seed quick engine jobs gd_batch measure_timeout
+  let run net device rounds batch seed quick engine jobs measure_timeout
       measure_retries chaos store_dir deadline socket wait out =
     (* The pack cache is daemon-side state (serve --pack-cache), not part of
        the job spec: submitted jobs share whatever cache the daemon mounts.
@@ -466,7 +444,7 @@ let submit_cmd =
       measure_of ~timeout:measure_timeout ~retries:measure_retries ~chaos ~seed
     in
     let spec =
-      spec_of ~net ~device ~rounds ~batch ~seed ~quick ~engine ~jobs ~gd_batch
+      spec_of ~net ~device ~rounds ~batch ~seed ~quick ~engine ~jobs
         ~measure ~deadline ~store_dir ~pack_cache:None
     in
     with_client socket @@ fun c ->
@@ -492,7 +470,7 @@ let submit_cmd =
   Cmd.v
     (Cmd.info "submit" ~doc:"Submit a tuning job to a running service.")
     Term.(const run $ network_arg $ device_arg $ rounds_arg $ batch_arg $ seed_arg
-          $ quick_arg $ engine_arg $ jobs_arg $ gd_batch_arg $ measure_timeout_arg
+          $ quick_arg $ engine_arg $ jobs_arg $ measure_timeout_arg
           $ measure_retries_arg $ chaos_arg $ store_arg $ deadline_arg $ socket_arg
           $ wait_arg $ result_out_arg)
 
@@ -663,13 +641,12 @@ let inspect_cmd =
     Term.(const run $ network_arg $ batch_arg)
 
 let compare_cmd =
-  let run net device rounds quick jobs gd_batch =
+  let run net device rounds quick jobs =
     let g = Workload.graph net in
     let model = Felix.pretrained_cost_model device in
     let search = config_of_quick quick rounds in
     let rc =
-      Tuning_config.(
-        builder |> with_search search |> with_jobs jobs |> with_batch gd_batch)
+      Tuning_config.(builder |> with_search search |> with_jobs jobs)
     in
     let result =
       match Tuner.run rc device model g Tuner.Felix with
@@ -693,8 +670,7 @@ let compare_cmd =
     Table.print t
   in
   Cmd.v (Cmd.info "compare" ~doc:"Compare Felix against vendor frameworks.")
-    Term.(const run $ network_arg $ device_arg $ rounds_arg $ quick_arg $ jobs_arg
-          $ gd_batch_arg)
+    Term.(const run $ network_arg $ device_arg $ rounds_arg $ quick_arg $ jobs_arg)
 
 let devices_cmd =
   let run () =

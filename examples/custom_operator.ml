@@ -62,7 +62,7 @@ let () =
   | None -> print_endline "no feasible start found"
   | Some y0 ->
     let cfg = { Tuning_config.default with Tuning_config.nsteps = 100 } in
-    let history = Gradient_tuner.descend cfg rng model pack y0 in
+    let history = (Gradient_tuner.descend_batch cfg model pack [| y0 |]).(0) in
     List.iteri
       (fun i (y, obj) ->
         if i mod 20 = 0 then begin

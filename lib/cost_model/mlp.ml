@@ -72,178 +72,6 @@ let forward t x =
   let acts = forward_acts t x in
   (acts.(Array.length acts - 1)).(0)
 
-(* --- caller-owned workspaces ----------------------------------------------
-
-   Pre-sized per-layer activation and delta buffers plus the layer offset
-   table, so the fused objective path runs forward and input-gradient
-   sweeps with zero allocation. Buffers are fully rewritten before being
-   read, so reuse across calls cannot change results. *)
-
-type workspace = {
-  w_offs : int array;
-  w_acts : float array array;  (* sizes.(l) wide, l = 0..n_layers *)
-  w_delta : float array array;
-  w_idx : int array;  (* active-output compression, max layer width *)
-  w_dval : float array;
-}
-
-let workspace t =
-  let offs, _ = layer_offsets t.sizes in
-  let widest = Array.fold_left max 1 t.sizes in
-  { w_offs = offs;
-    w_acts = Array.map (fun n -> Array.make n 0.0) t.sizes;
-    w_delta = Array.map (fun n -> Array.make n 0.0) t.sizes;
-    w_idx = Array.make widest 0;
-    w_dval = Array.make widest 0.0
-  }
-
-let check_ws t ws name =
-  if
-    Array.length ws.w_acts <> Array.length t.sizes
-    || not (Array.for_all2 (fun row n -> Array.length row = n) ws.w_acts t.sizes)
-  then invalid_arg (name ^ ": workspace does not match model")
-
-(* Identical arithmetic, in the identical order, to [forward_acts] — the
-   fused path must be bitwise-equal to the allocating one. The layer loop
-   is register-blocked over four output neurons: each output's dot product
-   still accumulates in the same i-ascending order (so every sum is
-   bit-identical), but the four independent add chains overlap in the
-   pipeline instead of serialising on FP-add latency. Indices are in
-   range by construction ([check_ws] + [layer_offsets]), so the inner
-   loops use unchecked accesses. *)
-let forward_acts_into t ws x =
-  if Array.length x <> n_inputs t then invalid_arg "Mlp.forward_into: input arity mismatch";
-  let a0 = ws.w_acts.(0) in
-  for i = 0 to Array.length a0 - 1 do
-    a0.(i) <- (x.(i) -. t.mean.(i)) /. t.std.(i)
-  done;
-  let offs = ws.w_offs in
-  let n_layers = Array.length offs in
-  let p = t.params in
-  for l = 0 to n_layers - 1 do
-    let n_in = t.sizes.(l) and n_out = t.sizes.(l + 1) in
-    let off = offs.(l) in
-    let prev = ws.w_acts.(l) and out = ws.w_acts.(l + 1) in
-    let relu = l < n_layers - 1 in
-    let bias = off + (n_in * n_out) in
-    let o = ref 0 in
-    while !o + 3 < n_out do
-      let o0 = !o in
-      let r0 = off + (o0 * n_in) in
-      let r1 = r0 + n_in and r2 = r0 + (2 * n_in) and r3 = r0 + (3 * n_in) in
-      let s0 = ref (Array.unsafe_get p (bias + o0))
-      and s1 = ref (Array.unsafe_get p (bias + o0 + 1))
-      and s2 = ref (Array.unsafe_get p (bias + o0 + 2))
-      and s3 = ref (Array.unsafe_get p (bias + o0 + 3)) in
-      for i = 0 to n_in - 1 do
-        let pi = Array.unsafe_get prev i in
-        s0 := !s0 +. (Array.unsafe_get p (r0 + i) *. pi);
-        s1 := !s1 +. (Array.unsafe_get p (r1 + i) *. pi);
-        s2 := !s2 +. (Array.unsafe_get p (r2 + i) *. pi);
-        s3 := !s3 +. (Array.unsafe_get p (r3 + i) *. pi)
-      done;
-      (* [if 0.0 >= s then 0.0 else s] is [max 0.0 s] spelled out — the
-         call to the polymorphic [max] would box its float result. *)
-      Array.unsafe_set out o0 (if relu && 0.0 >= !s0 then 0.0 else !s0);
-      Array.unsafe_set out (o0 + 1) (if relu && 0.0 >= !s1 then 0.0 else !s1);
-      Array.unsafe_set out (o0 + 2) (if relu && 0.0 >= !s2 then 0.0 else !s2);
-      Array.unsafe_set out (o0 + 3) (if relu && 0.0 >= !s3 then 0.0 else !s3);
-      o := o0 + 4
-    done;
-    while !o < n_out do
-      let o0 = !o in
-      let row = off + (o0 * n_in) in
-      let s = ref (Array.unsafe_get p (bias + o0)) in
-      for i = 0 to n_in - 1 do
-        s := !s +. (Array.unsafe_get p (row + i) *. Array.unsafe_get prev i)
-      done;
-      Array.unsafe_set out o0 (if relu && 0.0 >= !s then 0.0 else !s);
-      o := o0 + 1
-    done
-  done;
-  n_layers
-
-let forward_into t ws x =
-  check_ws t ws "Mlp.forward_into";
-  Telemetry.Counter.incr c_forwards;
-  let n_layers = forward_acts_into t ws x in
-  (ws.w_acts.(n_layers)).(0)
-
-let input_gradient_into t ws x grad =
-  check_ws t ws "Mlp.input_gradient_into";
-  if Array.length grad <> n_inputs t then
-    invalid_arg "Mlp.input_gradient_into: gradient arity mismatch";
-  let n_layers = forward_acts_into t ws x in
-  let score = (ws.w_acts.(n_layers)).(0) in
-  let top = ws.w_delta.(n_layers) in
-  Array.fill top 0 (Array.length top) 0.0;
-  top.(0) <- 1.0;
-  (* Reverse sweep, blocked like the forward one. The ReLU-masked/zero
-     outputs are first compressed into (index, delta) pairs in ascending
-     order; the accumulation into d_in.(i) then visits the surviving
-     outputs in exactly the order the scalar loop would (the contributions
-     of a 4-block are added one by one, not pre-summed), so the result is
-     bit-identical to [input_gradient]. *)
-  let p = t.params in
-  for l = n_layers - 1 downto 0 do
-    let n_in = t.sizes.(l) and n_out = t.sizes.(l + 1) in
-    let off = ws.w_offs.(l) in
-    let d_in = ws.w_delta.(l) in
-    Array.fill d_in 0 n_in 0.0;
-    let cur = ws.w_delta.(l + 1) in
-    let nxt = ws.w_acts.(l + 1) in
-    let relu = l < n_layers - 1 in
-    let idx = ws.w_idx and dval = ws.w_dval in
-    let nact = ref 0 in
-    for o = 0 to n_out - 1 do
-      (* ReLU mask on hidden outputs. *)
-      let d = if relu && Array.unsafe_get nxt o <= 0.0 then 0.0 else Array.unsafe_get cur o in
-      if d <> 0.0 then begin
-        Array.unsafe_set idx !nact o;
-        Array.unsafe_set dval !nact d;
-        incr nact
-      end
-    done;
-    let nact = !nact in
-    let k = ref 0 in
-    while !k + 3 < nact do
-      let k0 = !k in
-      let r0 = off + (Array.unsafe_get idx k0 * n_in)
-      and r1 = off + (Array.unsafe_get idx (k0 + 1) * n_in)
-      and r2 = off + (Array.unsafe_get idx (k0 + 2) * n_in)
-      and r3 = off + (Array.unsafe_get idx (k0 + 3) * n_in) in
-      let d0 = Array.unsafe_get dval k0
-      and d1 = Array.unsafe_get dval (k0 + 1)
-      and d2 = Array.unsafe_get dval (k0 + 2)
-      and d3 = Array.unsafe_get dval (k0 + 3) in
-      for i = 0 to n_in - 1 do
-        let v = Array.unsafe_get d_in i in
-        let v = v +. (d0 *. Array.unsafe_get p (r0 + i)) in
-        let v = v +. (d1 *. Array.unsafe_get p (r1 + i)) in
-        let v = v +. (d2 *. Array.unsafe_get p (r2 + i)) in
-        let v = v +. (d3 *. Array.unsafe_get p (r3 + i)) in
-        Array.unsafe_set d_in i v
-      done;
-      k := k0 + 4
-    done;
-    while !k < nact do
-      let k0 = !k in
-      let row = off + (Array.unsafe_get idx k0 * n_in) in
-      let d = Array.unsafe_get dval k0 in
-      for i = 0 to n_in - 1 do
-        Array.unsafe_set d_in i
-          (Array.unsafe_get d_in i +. (d *. Array.unsafe_get p (row + i)))
-      done;
-      k := k0 + 1
-    done
-  done;
-  (* Undo the input normalisation scaling. *)
-  let d0 = ws.w_delta.(0) in
-  for i = 0 to Array.length grad - 1 do
-    grad.(i) <- d0.(i) /. t.std.(i)
-  done;
-  score
-
 (* --- batched (structure-of-arrays) workspaces ------------------------------
 
    One batch workspace runs the forward / input-gradient / parameter-
@@ -255,11 +83,11 @@ let input_gradient_into t ws x grad =
    are contiguous: the layer sweep loads each weight once per batch and
    walks unit-stride lane strips, a GEMM-shaped kernel that the C stubs
    below vectorise across lanes. Each lane's accumulation order is exactly
-   the scalar kernels' (bias first, then inputs ascending; reverse-sweep
-   contributions in ascending active-output order, zero-delta outputs
-   skipped), so lane [l] of every batched sweep is bitwise-identical to
-   the scalar [_into] call on that row alone, at any batch size, on both
-   the OCaml and the C kernels. *)
+   the scalar reference's (bias first, then inputs ascending; reverse-sweep
+   contributions in ascending output order, zero-delta outputs skipped),
+   so lane [l] of every batched sweep is bitwise-identical to [forward] /
+   [input_gradient] on that row alone, at any batch size, on both the
+   OCaml and the C kernels. *)
 
 (* The C kernels (mlp_stubs.c) run the same per-lane IEEE operation
    sequence packed across lanes; they are compiled with contraction and
@@ -324,8 +152,6 @@ let batch_workspace t ~batch =
     b_grads = [||]
   }
 
-let batch_capacity bws = bws.b_cap
-
 let check_bws t bws ~batch name =
   if batch < 1 || batch > bws.b_cap then invalid_arg (name ^ ": batch exceeds capacity");
   if
@@ -356,7 +182,7 @@ let normalize_batch t bws ~batch xs =
    weight load feeds 4 multiply-adds and each activation load 2, with the
    lane quad a contiguous strip of the feature-major plane. Every
    (lane, output) accumulator still sums bias-first then i-ascending,
-   keeping each lane bit-identical to [forward_acts_into]. *)
+   keeping each lane bit-identical to [forward_acts]. *)
 let forward_layers_ocaml t bws ~batch =
   let offs = bws.b_offs in
   let n_layers = Array.length offs in
@@ -482,9 +308,9 @@ let forward_batch_into t bws ~batch xs ~scores =
    once for the whole batch, updating every active lane's cell of the
    feature-major d_in plane (a contiguous strip per input). Each d_in cell
    receives its o-contributions in ascending-o order with zero-delta
-   outputs skipped — exactly the order of the compressed per-lane loop in
-   [input_gradient_into] — so every lane is bit-identical to the scalar
-   path while weights load once per batch instead of once per lane. *)
+   outputs skipped — exactly the order of the per-lane loop in
+   [input_gradient] — so every lane is bit-identical to the scalar path
+   while weights load once per batch instead of once per lane. *)
 let backward_layers_ocaml t bws ~batch =
   let n_layers = Array.length bws.b_offs in
   let top = bws.b_delta.(n_layers) in

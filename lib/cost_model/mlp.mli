@@ -11,7 +11,12 @@
       this differentiates the whole objective of Equation 4;
     - {!train_staged} (and its one-shot form {!train_batch}):
       dLoss/dparams — used for pretraining and for the online update of
-      Algorithm 1 (line 24). *)
+      Algorithm 1 (line 24).
+
+    {!forward}, {!input_gradient} and {!param_gradient} are the scalar
+    reference implementations, one example per call; the batched kernels
+    below are what descent, scoring and training run, and match them
+    bitwise. *)
 
 type t
 
@@ -38,26 +43,6 @@ val param_gradient : t -> (float array * float) array -> float array -> float
     The scalar reference implementation for the batched trainer; exposed
     for the bitwise-equivalence tests. *)
 
-(** {2 Caller-owned workspaces}
-
-    Pre-sized activation/delta buffers for the fused objective path: the
-    [_into] variants below are bitwise-identical to {!forward} and
-    {!input_gradient} but allocation-free. A workspace must match the
-    model it was created from and must not be shared by concurrent
-    callers; reuse across calls is safe (buffers are fully rewritten
-    before being read). *)
-
-type workspace
-
-val workspace : t -> workspace
-
-val forward_into : t -> workspace -> float array -> float
-(** Predicted score, reusing the workspace buffers. *)
-
-val input_gradient_into : t -> workspace -> float array -> float array -> float
-(** [input_gradient_into t ws x grad] overwrites [grad] with
-    dscore/dinput and returns the score. *)
-
 (** {2 Batched (structure-of-arrays) kernels}
 
     A [batch_workspace] holds feature-major activation/delta planes for up
@@ -66,14 +51,16 @@ val input_gradient_into : t -> workspace -> float array -> float array -> float
     each weight once per batch instead of once per candidate and run
     vectorised across lanes by default (strict-IEEE C kernels — see
     mlp_stubs.c). Lane [l] of every batched sweep is bitwise-identical to
-    the corresponding scalar [_into] call on that row alone, at any batch
-    size, on either kernel set. The one sweep that sums across lanes, the
+    the scalar reference ({!forward}, {!input_gradient}) on that row
+    alone, at any batch size, on either kernel set. The one sweep that sums across lanes, the
     parameter gradient, runs in C too: it transposes each layer's input
     activations into a lane-major plane ([prevT.(lane * n_in + i)]) kept
     in the workspace and vectorises across inputs, adding each weight
-    cell's lanes in ascending order — the scalar example order. Same
-    ownership rules as {!workspace}: the C kernels keep all scratch in the
-    workspace, so separate workspaces may run on separate domains. *)
+    cell's lanes in ascending order — the scalar example order. A
+    workspace must match the model it was created from ([Invalid_argument]
+    otherwise) and must not be shared by concurrent callers; reuse across
+    calls is safe. The C kernels keep all scratch in the workspace, so
+    separate workspaces may run on separate domains. *)
 
 val set_vector_kernels : bool -> unit
 (** Select the vectorised C kernels ([true], the default) or the portable
@@ -89,8 +76,6 @@ type batch_workspace
 val batch_workspace : t -> batch:int -> batch_workspace
 (** Buffers for up to [batch] lanes ([batch >= 1]). *)
 
-val batch_capacity : batch_workspace -> int
-
 val forward_batch_into :
   t -> batch_workspace -> batch:int -> float array -> scores:float array -> unit
 (** [forward_batch_into t bws ~batch xs ~scores] scores lanes
@@ -105,7 +90,7 @@ val input_gradient_batch_into :
   grads:float array ->
   scores:float array ->
   unit
-(** Lockstep {!input_gradient_into}: overwrites the first [batch]
+(** Lockstep {!input_gradient}: overwrites the first [batch]
     lane-major rows of [grads] with each lane's dscore/dinput and
     [scores.(l)] with its prediction. *)
 

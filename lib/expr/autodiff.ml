@@ -549,379 +549,22 @@ module Tape = struct
       end
     done
 
-  (* --- caller-owned workspaces ---------------------------------------------
-
-     A workspace owns the value, adjoint and output buffers one
-     forward/backward sweep needs; reusing it across calls removes every
-     per-call allocation from the descent inner loop. Buffers are fully
-     (re)written before being read — vals in forward slot order, adj by the
-     zero-fill in [backward_into] — so results never depend on what a
-     previous call left behind. *)
-
-  type workspace = { w_vals : float array; w_adj : float array; w_out : float array }
-
-  let workspace t =
-    let n = max 1 (Array.length t.instrs) in
-    { w_vals = Array.make n 0.0;
-      w_adj = Array.make n 0.0;
-      w_out = Array.make (Array.length t.outputs) 0.0
-    }
-
-  let check_ws t ws name =
-    if
-      Array.length ws.w_vals <> max 1 (Array.length t.instrs)
-      || Array.length ws.w_out <> Array.length t.outputs
-    then invalid_arg (name ^ ": workspace does not match tape")
-
-  let forward_into t ws xs =
-    if Array.length xs <> t.n_inputs then
-      invalid_arg "Tape.forward_into: input arity mismatch";
-    check_ws t ws "Tape.forward_into";
-    forward t xs ws.w_vals;
-    let out = ws.w_out and vals = ws.w_vals in
-    Array.iteri (fun k slot -> out.(k) <- vals.(slot)) t.outputs;
-    out
-
-  let backward_into t ws v grad =
-    check_ws t ws "Tape.backward_into";
-    if Array.length v <> Array.length t.outputs then
-      invalid_arg "Tape.backward_into: adjoint arity mismatch";
-    if Array.length grad <> t.n_inputs then
-      invalid_arg "Tape.backward_into: gradient arity mismatch";
-    let adj = ws.w_adj in
-    Array.fill adj 0 (Array.length adj) 0.0;
-    Array.iteri (fun k slot -> adj.(slot) <- adj.(slot) +. v.(k)) t.outputs;
-    backward t ws.w_vals adj grad
-
-  let eval_vjp_into t ws xs v grad =
-    let out = forward_into t ws xs in
-    backward_into t ws v grad;
-    out
-
   let vjp t xs v =
     if Array.length xs <> t.n_inputs then invalid_arg "Tape.vjp: input arity mismatch";
     if Array.length v <> Array.length t.outputs then
       invalid_arg "Tape.vjp: adjoint arity mismatch";
-    let ws = workspace t in
+    let n = max 1 (Array.length t.instrs) in
+    let vals = Array.make n 0.0 and adj = Array.make n 0.0 in
+    forward t xs vals;
+    Array.iteri (fun k slot -> adj.(slot) <- adj.(slot) +. v.(k)) t.outputs;
     let grad = Array.make t.n_inputs 0.0 in
-    let out = eval_vjp_into t ws xs v grad in
-    (Array.copy out, grad)
-
-  let vjp_with t xs f =
-    if Array.length xs <> t.n_inputs then invalid_arg "Tape.vjp_with: input arity mismatch";
-    let ws = workspace t in
-    let out = forward_into t ws xs in
-    let v = f out in
-    if Array.length v <> Array.length t.outputs then
-      invalid_arg "Tape.vjp_with: adjoint arity mismatch";
-    let grad = Array.make t.n_inputs 0.0 in
-    backward_into t ws v grad;
-    (Array.copy out, grad)
-
-  (* --- batched (structure-of-arrays) workspaces -----------------------------
-
-     One batch workspace evaluates the tape over up to [cap] points in
-     lockstep. Values and adjoints are laid out slot-major —
-     [b_vals.(slot * cap + lane)] — so one instruction's dispatch is paid
-     once and its arithmetic runs over a contiguous strip of lanes;
-     outputs are lane-major rows — [b_out.(lane * num_outputs + k)] — so a
-     lane's output vector is contiguous for downstream consumers. Every
-     lane executes exactly the scalar instruction sequence of [forward] /
-     [backward] (including the zero-adjoint skip), so each lane's results
-     are bitwise-identical to a scalar sweep over that lane alone. *)
+    backward t vals adj grad;
+    (Array.map (fun slot -> vals.(slot)) t.outputs, grad)
 
   (* Index arithmetic below needs the integer operators back ([open Expr]
      rebinds them to expression builders). *)
   let ( + ) = Stdlib.( + )
   let ( * ) = Stdlib.( * )
-
-  type batch_workspace = {
-    b_cap : int;
-    b_vals : float array;  (* n_slots * cap, slot-major *)
-    b_adj : float array;  (* n_slots * cap, slot-major *)
-    b_out : float array;  (* cap * n_outputs, lane-major *)
-  }
-
-  let batch_capacity bws = bws.b_cap
-
-  let batch_workspace t ~batch =
-    if batch < 1 then invalid_arg "Tape.batch_workspace: batch must be >= 1";
-    let n = max 1 (Array.length t.instrs) in
-    { b_cap = batch;
-      b_vals = Array.make (n * batch) 0.0;
-      b_adj = Array.make (n * batch) 0.0;
-      b_out = Array.make (max 1 (Array.length t.outputs * batch)) 0.0
-    }
-
-  let check_bws t bws ~batch name =
-    if batch < 1 || batch > bws.b_cap then invalid_arg (name ^ ": batch exceeds capacity");
-    if Array.length bws.b_vals <> max 1 (Array.length t.instrs) * bws.b_cap then
-      invalid_arg (name ^ ": workspace does not match tape")
-
-  let forward_batch_into t bws ~batch xs =
-    check_bws t bws ~batch "Tape.forward_batch_into";
-    if Array.length xs < batch * t.n_inputs then
-      invalid_arg "Tape.forward_batch_into: input arity mismatch";
-    let cap = bws.b_cap in
-    let vals = bws.b_vals in
-    let ni = t.n_inputs in
-    let n = Array.length t.instrs in
-    for i = 0 to n - 1 do
-      let base = i * cap in
-      match Array.unsafe_get t.instrs i with
-      | Iconst c ->
-        for l = 0 to batch - 1 do
-          Array.unsafe_set vals (base + l) c
-        done
-      | Iinput k ->
-        for l = 0 to batch - 1 do
-          Array.unsafe_set vals (base + l) (Array.unsafe_get xs ((l * ni) + k))
-        done
-      | Ibin (op, a, b) -> (
-        let ab = a * cap and bb = b * cap in
-        (* Op dispatch hoisted out of the lane loop; the per-lane float op
-           is exactly the scalar [forward]'s, so each lane is bit-exact. *)
-        match op with
-        | Add ->
-          for l = 0 to batch - 1 do
-            Array.unsafe_set vals (base + l)
-              (Array.unsafe_get vals (ab + l) +. Array.unsafe_get vals (bb + l))
-          done
-        | Sub ->
-          for l = 0 to batch - 1 do
-            Array.unsafe_set vals (base + l)
-              (Array.unsafe_get vals (ab + l) -. Array.unsafe_get vals (bb + l))
-          done
-        | Mul ->
-          for l = 0 to batch - 1 do
-            Array.unsafe_set vals (base + l)
-              (Array.unsafe_get vals (ab + l) *. Array.unsafe_get vals (bb + l))
-          done
-        | Div ->
-          for l = 0 to batch - 1 do
-            Array.unsafe_set vals (base + l)
-              (Array.unsafe_get vals (ab + l) /. Array.unsafe_get vals (bb + l))
-          done
-        | Pow ->
-          for l = 0 to batch - 1 do
-            Array.unsafe_set vals (base + l)
-              (Array.unsafe_get vals (ab + l) ** Array.unsafe_get vals (bb + l))
-          done
-        | Min ->
-          for l = 0 to batch - 1 do
-            Array.unsafe_set vals (base + l)
-              (Float.min (Array.unsafe_get vals (ab + l)) (Array.unsafe_get vals (bb + l)))
-          done
-        | Max ->
-          for l = 0 to batch - 1 do
-            Array.unsafe_set vals (base + l)
-              (Float.max (Array.unsafe_get vals (ab + l)) (Array.unsafe_get vals (bb + l)))
-          done)
-      | Iun (op, a) -> (
-        let ab = a * cap in
-        match op with
-        | Neg ->
-          for l = 0 to batch - 1 do
-            Array.unsafe_set vals (base + l) (-.Array.unsafe_get vals (ab + l))
-          done
-        | Log ->
-          for l = 0 to batch - 1 do
-            Array.unsafe_set vals (base + l) (log (Array.unsafe_get vals (ab + l)))
-          done
-        | Exp ->
-          for l = 0 to batch - 1 do
-            Array.unsafe_set vals (base + l) (exp (Array.unsafe_get vals (ab + l)))
-          done
-        | Sqrt ->
-          for l = 0 to batch - 1 do
-            Array.unsafe_set vals (base + l) (sqrt (Array.unsafe_get vals (ab + l)))
-          done
-        | Abs ->
-          for l = 0 to batch - 1 do
-            Array.unsafe_set vals (base + l) (Float.abs (Array.unsafe_get vals (ab + l)))
-          done)
-      | Isel (op, sl, sr, a, b) ->
-        let lb = sl * cap and rb = sr * cap and ab = a * cap and bb = b * cap in
-        for l = 0 to batch - 1 do
-          let src =
-            if apply_cmpop op (Array.unsafe_get vals (lb + l)) (Array.unsafe_get vals (rb + l))
-            then ab
-            else bb
-          in
-          Array.unsafe_set vals (base + l) (Array.unsafe_get vals (src + l))
-        done
-    done;
-    let out = bws.b_out in
-    let nout = Array.length t.outputs in
-    for k = 0 to nout - 1 do
-      let sb = t.outputs.(k) * cap in
-      for l = 0 to batch - 1 do
-        Array.unsafe_set out ((l * nout) + k) (Array.unsafe_get vals (sb + l))
-      done
-    done;
-    out
-
-  let backward_batch_into t bws ~batch v grad =
-    check_bws t bws ~batch "Tape.backward_batch_into";
-    let nout = Array.length t.outputs in
-    if Array.length v < batch * nout then
-      invalid_arg "Tape.backward_batch_into: adjoint arity mismatch";
-    if Array.length grad < batch * t.n_inputs then
-      invalid_arg "Tape.backward_batch_into: gradient arity mismatch";
-    let cap = bws.b_cap in
-    let vals = bws.b_vals and adj = bws.b_adj in
-    let ni = t.n_inputs in
-    let n = Array.length t.instrs in
-    Array.fill grad 0 (batch * ni) 0.0;
-    for i = 0 to n - 1 do
-      Array.fill adj (i * cap) batch 0.0
-    done;
-    (* Output-adjoint seeding in the scalar order: for each lane, outputs
-       ascending, accumulated into the output's slot. *)
-    for k = 0 to nout - 1 do
-      let sb = t.outputs.(k) * cap in
-      for l = 0 to batch - 1 do
-        Array.unsafe_set adj (sb + l)
-          (Array.unsafe_get adj (sb + l) +. Array.unsafe_get v ((l * nout) + k))
-      done
-    done;
-    for i = n - 1 downto 0 do
-      let base = i * cap in
-      match Array.unsafe_get t.instrs i with
-      | Iconst _ -> ()
-      | Iinput k ->
-        for l = 0 to batch - 1 do
-          let a = Array.unsafe_get adj (base + l) in
-          if a <> 0.0 then begin
-            let gi = (l * ni) + k in
-            Array.unsafe_set grad gi (Array.unsafe_get grad gi +. a)
-          end
-        done
-      | Ibin (op, ia, ib) -> (
-        let ab = ia * cap and bb = ib * cap in
-        (* Per lane: the scalar [backward]'s update, guard included — a lane
-           with zero adjoint must skip (adding 0.0 can change bits). *)
-        match op with
-        | Add ->
-          for l = 0 to batch - 1 do
-            let a = Array.unsafe_get adj (base + l) in
-            if a <> 0.0 then begin
-              Array.unsafe_set adj (ab + l) (Array.unsafe_get adj (ab + l) +. a);
-              Array.unsafe_set adj (bb + l) (Array.unsafe_get adj (bb + l) +. a)
-            end
-          done
-        | Sub ->
-          for l = 0 to batch - 1 do
-            let a = Array.unsafe_get adj (base + l) in
-            if a <> 0.0 then begin
-              Array.unsafe_set adj (ab + l) (Array.unsafe_get adj (ab + l) +. a);
-              Array.unsafe_set adj (bb + l) (Array.unsafe_get adj (bb + l) -. a)
-            end
-          done
-        | Mul ->
-          for l = 0 to batch - 1 do
-            let a = Array.unsafe_get adj (base + l) in
-            if a <> 0.0 then begin
-              let va = Array.unsafe_get vals (ab + l) and vb = Array.unsafe_get vals (bb + l) in
-              Array.unsafe_set adj (ab + l) (Array.unsafe_get adj (ab + l) +. (a *. vb));
-              Array.unsafe_set adj (bb + l) (Array.unsafe_get adj (bb + l) +. (a *. va))
-            end
-          done
-        | Div ->
-          for l = 0 to batch - 1 do
-            let a = Array.unsafe_get adj (base + l) in
-            if a <> 0.0 then begin
-              let va = Array.unsafe_get vals (ab + l) and vb = Array.unsafe_get vals (bb + l) in
-              Array.unsafe_set adj (ab + l) (Array.unsafe_get adj (ab + l) +. (a /. vb));
-              Array.unsafe_set adj (bb + l)
-                (Array.unsafe_get adj (bb + l) -. (a *. va /. (vb *. vb)))
-            end
-          done
-        | Pow ->
-          for l = 0 to batch - 1 do
-            let a = Array.unsafe_get adj (base + l) in
-            if a <> 0.0 then begin
-              let va = Array.unsafe_get vals (ab + l) and vb = Array.unsafe_get vals (bb + l) in
-              let v0 = Array.unsafe_get vals (base + l) in
-              if va <> 0.0 then
-                Array.unsafe_set adj (ab + l)
-                  (Array.unsafe_get adj (ab + l) +. (a *. vb *. v0 /. va))
-              else
-                Array.unsafe_set adj (ab + l)
-                  (Array.unsafe_get adj (ab + l) +. (a *. vb *. (va ** (vb -. 1.0))));
-              if va > 0.0 then
-                Array.unsafe_set adj (bb + l)
-                  (Array.unsafe_get adj (bb + l) +. (a *. v0 *. log va))
-            end
-          done
-        | Min ->
-          for l = 0 to batch - 1 do
-            let a = Array.unsafe_get adj (base + l) in
-            if a <> 0.0 then begin
-              if Array.unsafe_get vals (ab + l) <= Array.unsafe_get vals (bb + l) then
-                Array.unsafe_set adj (ab + l) (Array.unsafe_get adj (ab + l) +. a)
-              else Array.unsafe_set adj (bb + l) (Array.unsafe_get adj (bb + l) +. a)
-            end
-          done
-        | Max ->
-          for l = 0 to batch - 1 do
-            let a = Array.unsafe_get adj (base + l) in
-            if a <> 0.0 then begin
-              if Array.unsafe_get vals (ab + l) >= Array.unsafe_get vals (bb + l) then
-                Array.unsafe_set adj (ab + l) (Array.unsafe_get adj (ab + l) +. a)
-              else Array.unsafe_set adj (bb + l) (Array.unsafe_get adj (bb + l) +. a)
-            end
-          done)
-      | Iun (op, ia) -> (
-        let ab = ia * cap in
-        match op with
-        | Neg ->
-          for l = 0 to batch - 1 do
-            let a = Array.unsafe_get adj (base + l) in
-            if a <> 0.0 then
-              Array.unsafe_set adj (ab + l) (Array.unsafe_get adj (ab + l) -. a)
-          done
-        | Log ->
-          for l = 0 to batch - 1 do
-            let a = Array.unsafe_get adj (base + l) in
-            if a <> 0.0 then
-              Array.unsafe_set adj (ab + l)
-                (Array.unsafe_get adj (ab + l) +. (a /. Array.unsafe_get vals (ab + l)))
-          done
-        | Exp ->
-          for l = 0 to batch - 1 do
-            let a = Array.unsafe_get adj (base + l) in
-            if a <> 0.0 then
-              Array.unsafe_set adj (ab + l)
-                (Array.unsafe_get adj (ab + l) +. (a *. Array.unsafe_get vals (base + l)))
-          done
-        | Sqrt ->
-          for l = 0 to batch - 1 do
-            let a = Array.unsafe_get adj (base + l) in
-            if a <> 0.0 then
-              Array.unsafe_set adj (ab + l)
-                (Array.unsafe_get adj (ab + l)
-                +. (a /. (2.0 *. Array.unsafe_get vals (base + l))))
-          done
-        | Abs ->
-          for l = 0 to batch - 1 do
-            let a = Array.unsafe_get adj (base + l) in
-            if a <> 0.0 then
-              Array.unsafe_set adj (ab + l)
-                (Array.unsafe_get adj (ab + l)
-                +. (if Array.unsafe_get vals (ab + l) >= 0.0 then a else -.a))
-          done)
-      | Isel (op, sl, sr, ia, ib) ->
-        let lb = sl * cap and rb = sr * cap and ab = ia * cap and bb = ib * cap in
-        for l = 0 to batch - 1 do
-          let a = Array.unsafe_get adj (base + l) in
-          if a <> 0.0 then begin
-            if apply_cmpop op (Array.unsafe_get vals (lb + l)) (Array.unsafe_get vals (rb + l))
-            then Array.unsafe_set adj (ab + l) (Array.unsafe_get adj (ab + l) +. a)
-            else Array.unsafe_set adj (bb + l) (Array.unsafe_get adj (bb + l) +. a)
-          end
-        done
-    done
 
   (* --- compiled superop plans ------------------------------------------------
 
@@ -931,11 +574,11 @@ module Tape = struct
      analysed so values reuse a compact register arena. The program is
      executed over all batch lanes by one C call per sweep (tape_stubs.c)
      or, behind [set_vector_kernels false] / FELIX_NO_SIMD=1, by the
-     portable OCaml kernels below — both bitwise-identical to the
-     interpreted [forward_batch_into]/[backward_batch_into] at every batch
-     size, because the per-lane operation sequence (including the
-     zero-adjoint guard and the order of adjoint accumulation) is part of
-     the plan, not of the kernel.
+     portable OCaml kernels below — both bitwise-identical, lane for lane,
+     to the scalar interpreter ([eval]/[vjp]) at every batch size, because
+     the per-lane operation sequence (including the zero-adjoint guard and
+     the order of adjoint accumulation) is part of the plan, not of the
+     kernel.
 
      Fusion is restricted to *adjacent* pairs in the const/input-hoisted
      instruction order whose intermediate has exactly one consumer and is
@@ -1849,8 +1492,6 @@ module Tape = struct
     pw_out : float array;  (* cap * n_outputs, lane-major *)
   }
 
-  let plan_batch_capacity pw = pw.pw_cap
-
   let plan_batch_workspace (p : Plan.t) ~batch =
     if batch < 1 then invalid_arg "Tape.plan_batch_workspace: batch must be >= 1";
     let vals = Array.make (Stdlib.max 1 (p.Plan.p_n_vregs * batch)) 0.0 in
@@ -1936,19 +1577,21 @@ module Tape = struct
 
   let jacobian t xs =
     if Array.length xs <> t.n_inputs then invalid_arg "Tape.jacobian: input arity mismatch";
-    let m = Array.length t.outputs in
-    let ws = workspace t in
+    let n = Stdlib.max 1 (Array.length t.instrs) in
+    let vals = Array.make n 0.0 and adj = Array.make n 0.0 in
     (* One forward pass shared by all m adjoint sweeps: the reverse sweep
        only reads vals, never writes them. *)
-    let outputs = Array.copy (forward_into t ws xs) in
-    let v = Array.make m 0.0 in
+    forward t xs vals;
+    let outputs = Array.map (fun slot -> vals.(slot)) t.outputs in
     let jac =
-      Array.init m (fun k ->
-          v.(k) <- 1.0;
+      Array.map
+        (fun slot ->
+          Array.fill adj 0 n 0.0;
+          adj.(slot) <- 1.0;
           let grad = Array.make t.n_inputs 0.0 in
-          backward_into t ws v grad;
-          v.(k) <- 0.0;
+          backward t vals adj grad;
           grad)
+        t.outputs
     in
     (outputs, jac)
 end

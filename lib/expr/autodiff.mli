@@ -7,11 +7,20 @@
       conventions to non-smooth operators.
     - {!module:Tape}: a compiled reverse-mode engine. A list of expressions
       sharing input variables is compiled once into a common-subexpression-
-      eliminated instruction tape; evaluation and vector-Jacobian products
-      then run in time linear in the tape. This is the engine the gradient
-      descent optimizer (Algorithm 1) uses: per step it needs one tape
-      evaluation of the 80+ feature formulas plus one VJP with the cost
-      model's input-gradient as the adjoint vector. *)
+      eliminated instruction tape, which runs two ways:
+      {ul
+      {- {!Tape.eval} / {!Tape.vjp}: the scalar interpreter, one point per
+         call. It is the reference oracle the tests compare against, and
+         serves low-volume feature evaluation (dataset labelling, model
+         updates).}
+      {- {!Tape.compile_plan} and the [plan_*_batch_into] sweeps: the
+         compiled superop plan, run over a tile of points in lockstep.
+         This is the only executor of the gradient-descent optimizer
+         (Algorithm 1) and of candidate scoring: per step it needs one
+         tape evaluation of the 80+ feature formulas plus one VJP with the
+         cost model's input-gradient as the adjoint vector, for every
+         seed of the tile. Each lane is bitwise-identical to {!Tape.vjp}
+         on that point alone.}} *)
 
 val diff : Expr.t -> string -> Expr.t
 (** [diff e x] is the partial derivative de/dx as an expression.
@@ -82,77 +91,9 @@ module Tape : sig
       [grad.(i) = d(sum_k v.(k) * out_k) / d xs.(i)] — one forward plus one
       reverse sweep. *)
 
-  val vjp_with : t -> float array -> (float array -> float array) -> float array * float array
-  (** [vjp_with t xs f] runs one forward sweep, computes the output adjoint
-      [v = f outputs], then runs one reverse sweep: [(outputs, grad)]
-      without a second forward pass for adjoints that depend on the
-      outputs. [f] receives a workspace-owned buffer it must not retain;
-      the returned outputs are a fresh copy. *)
-
   val jacobian : t -> float array -> float array * float array array
   (** [(outputs, jac)] with [jac.(k).(i) = d out_k / d x_i]; one shared
       forward pass followed by [num_outputs] reverse sweeps. *)
-
-  (** {2 Caller-owned workspaces}
-
-      A [workspace] owns the value/adjoint/output buffers of one
-      forward-backward sweep so the descent inner loop runs with zero
-      allocation. Buffers are fully rewritten before being read, so a
-      workspace may be reused across calls (and moved between points)
-      without affecting results; it must match the tape it was created
-      from and must not be shared by concurrent callers. *)
-
-  type workspace
-
-  val workspace : t -> workspace
-
-  val forward_into : t -> workspace -> float array -> float array
-  (** Runs the forward sweep, retaining all intermediate values in the
-      workspace; returns the workspace-owned output buffer (do not
-      retain). *)
-
-  val backward_into : t -> workspace -> float array -> float array -> unit
-  (** [backward_into t ws v grad] seeds the output adjoints from [v] and
-      runs one reverse sweep against the values left by the last
-      [forward_into], overwriting [grad] (length [num_inputs t]). *)
-
-  val eval_vjp_into : t -> workspace -> float array -> float array -> float array -> float array
-  (** [eval_vjp_into t ws xs v grad]: one forward + one backward sweep;
-      returns the workspace-owned outputs and overwrites [grad].
-      Bit-identical to {!vjp}, with zero allocation. *)
-
-  (** {2 Batched (structure-of-arrays) sweeps}
-
-      A [batch_workspace] evaluates the tape over up to its capacity of
-      points in lockstep: instruction dispatch is paid once per slot
-      instead of once per point, and the per-slot arithmetic runs over a
-      contiguous strip of lanes. Each lane executes exactly the scalar
-      instruction sequence (including the zero-adjoint skip of the reverse
-      sweep), so lane [l] of a batched sweep is bitwise-identical to a
-      scalar {!forward_into}/{!backward_into} over that point alone, at
-      any batch size. Same ownership rules as {!workspace}: one batch
-      workspace per concurrent evaluator, reuse across calls is safe. *)
-
-  type batch_workspace
-
-  val batch_workspace : t -> batch:int -> batch_workspace
-  (** Buffers for up to [batch] lanes ([batch >= 1]). *)
-
-  val batch_capacity : batch_workspace -> int
-
-  val forward_batch_into : t -> batch_workspace -> batch:int -> float array -> float array
-  (** [forward_batch_into t bws ~batch xs] evaluates lanes [0..batch-1];
-      [xs] holds the points as lane-major rows ([xs.(l * num_inputs + i)];
-      rows beyond [batch] are ignored). Returns the workspace-owned
-      lane-major output matrix [out.(l * num_outputs + k)] (do not
-      retain); intermediate values are kept for {!backward_batch_into}. *)
-
-  val backward_batch_into : t -> batch_workspace -> batch:int -> float array -> float array -> unit
-  (** [backward_batch_into t bws ~batch v grad] seeds each lane's output
-      adjoints from the lane-major rows of [v] and runs one reverse sweep
-      per lane against the values of the last {!forward_batch_into},
-      overwriting the first [batch] lane-major rows of [grad]
-      ([grad.(l * num_inputs + i)]). *)
 
   (** {2 Compiled superop plans}
 
@@ -163,10 +104,12 @@ module Tape : sig
       and {!plan_backward_batch_into} execute one whole superop across all
       lanes per dispatch — through strict-IEEE C kernels (tape_stubs.c) or
       the portable OCaml kernels ({!set_vector_kernels}) — and are
-      bitwise-identical, lane for lane, to {!forward_batch_into} /
-      {!backward_batch_into} at every batch size: operand order, the
-      zero-adjoint guard and the order of adjoint accumulation are part of
-      the plan, not of the kernel. *)
+      bitwise-identical, lane for lane, to {!eval} / {!vjp} at every batch
+      size: operand order, the zero-adjoint guard and the order of adjoint
+      accumulation are part of the plan, not of the kernel. The one
+      exception is the sign and payload of a NaN result, which IEEE leaves
+      unspecified and a compiler may change by commuting an operation on
+      two NaNs; no operation lets it reach a non-NaN value. *)
 
   module Plan : sig
     type t
@@ -208,29 +151,32 @@ module Tape : sig
   val using_vector_kernels : unit -> bool
 
   type plan_batch_workspace
-  (** Register arena (value, adjoint and output planes) for one plan; same
-      ownership rules as {!batch_workspace}. Constant planes are broadcast
-      once at creation. *)
+  (** Register arena (value, adjoint and output planes) for one plan.
+      Constant planes are broadcast once at creation. One workspace per
+      concurrent evaluator (never shared across domains mid-call); reuse
+      across calls is safe, because every plane is rewritten before it is
+      read. *)
 
   val plan_batch_workspace : Plan.t -> batch:int -> plan_batch_workspace
   (** Buffers for up to [batch] lanes ([batch >= 1]). *)
 
-  val plan_batch_capacity : plan_batch_workspace -> int
-
   val plan_forward_batch_into :
     Plan.t -> plan_batch_workspace -> batch:int -> float array -> float array
-  (** As {!forward_batch_into}, over the compiled plan: lane-major input
-      rows in, workspace-owned lane-major output matrix back (do not
-      retain). Pinned intermediate planes are kept for
-      {!plan_backward_batch_into}. *)
+  (** [plan_forward_batch_into p pw ~batch xs] evaluates lanes
+      [0..batch-1]; [xs] holds the points as lane-major rows
+      ([xs.(l * num_inputs + i)]; rows beyond [batch] are ignored).
+      Returns the workspace-owned lane-major output matrix
+      [out.(l * num_outputs + k)] (do not retain). Pinned intermediate
+      planes are kept for {!plan_backward_batch_into}. *)
 
   val plan_backward_batch_into :
     Plan.t -> plan_batch_workspace -> batch:int -> float array -> float array -> unit
-  (** As {!backward_batch_into}: seeds each lane's output adjoints from
-      the lane-major rows of [v], sweeps the superops in reverse against
-      the values of the last {!plan_forward_batch_into}, and overwrites
-      the first [batch] lane-major rows of [grad]. Zero-adjoint lanes are
-      skipped exactly as the interpreter's guard does. *)
+  (** [plan_backward_batch_into p pw ~batch v grad] seeds each lane's
+      output adjoints from the lane-major rows of [v], sweeps the superops
+      in reverse against the values of the last {!plan_forward_batch_into},
+      and overwrites the first [batch] lane-major rows of [grad]
+      ([grad.(l * num_inputs + i)]). Zero-adjoint lanes are skipped
+      exactly as the interpreter's guard does. *)
 end
 
 val check_gradient :

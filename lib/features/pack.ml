@@ -55,21 +55,9 @@ let c_slots_post = Telemetry.counter Telemetry.global "features.tape_slots_post"
 (* --- compiled superop plans -------------------------------------------------
 
    Every pack eagerly carries the compiled superop plans of its two tapes
-   (Autodiff.Tape.compile_plan): descent workspaces pick the plan or the
-   interpreter at creation time via the toggle below, and plans travel with
-   the tapes through both caches so a warm hit never re-runs the plan
-   compiler. The toggle changes execution strategy only — results are
-   bitwise-identical either way — so pack digests and tuner checkpoints do
-   not depend on it. *)
-
-let plan_execution =
-  ref
-    (match Sys.getenv_opt "FELIX_NO_TAPE_PLAN" with
-    | Some ("1" | "true" | "yes") -> false
-    | Some _ | None -> true)
-
-let set_plan_execution b = plan_execution := b
-let using_plan_execution () = !plan_execution
+   (Autodiff.Tape.compile_plan): they are what the batch workspaces below
+   execute, and they travel with the tapes through both caches so a warm
+   hit never re-runs the plan compiler. *)
 
 let h_tape_compile_ms = Telemetry.histogram Telemetry.global "felix.tape_compile_ms"
 let c_superops_pre = Telemetry.counter Telemetry.global "features.tape_superops_pre"
@@ -470,120 +458,42 @@ let features_at t y =
 
 let features_vjp t y adj = Autodiff.Tape.vjp t.feature_tape y adj
 
-let penalty_margins t y = Autodiff.Tape.eval t.penalty_tape y
-let penalty_vjp t y adj = Autodiff.Tape.vjp t.penalty_tape y adj
-
-let penalty_adjoint g = 2.0 *. max g 0.0
-
 let penalty_value_grad t y =
-  (* One forward + one backward: the adjoint 2·max(g,0) depends on the
-     margins, so it is computed from the forward sweep's outputs via
-     [vjp_with] instead of a separate [eval]. *)
-  let margins, grad =
-    Autodiff.Tape.vjp_with t.penalty_tape y (fun margins -> Array.map penalty_adjoint margins)
-  in
+  let margins = Autodiff.Tape.eval t.penalty_tape y in
   let value = Array.fold_left (fun acc g -> acc +. (max g 0.0 ** 2.0)) 0.0 margins in
+  let adj = Array.map (fun g -> 2.0 *. max g 0.0) margins in
+  let _, grad = Autodiff.Tape.vjp t.penalty_tape y adj in
   (value, grad)
 
-(* --- fused-kernel workspaces ----------------------------------------------
+(* --- batch workspaces ----------------------------------------------------------
 
-   A workspace owns every buffer the fused objective path needs for this
-   pack's two tapes; allocate one per descent (or reuse a pooled one) and
-   the whole forward/backward inner loop runs allocation-free. Buffer
-   contents never leak between calls: each sweep fully rewrites what it
-   reads (see {!Autodiff.Tape.workspace}). *)
-
-type workspace = {
-  ws_feat : Autodiff.Tape.workspace;
-  ws_pen : Autodiff.Tape.workspace;
-  ws_pen_adj : float array;  (* n_penalties *)
-}
-
-let workspace t =
-  { ws_feat = Autodiff.Tape.workspace t.feature_tape;
-    ws_pen = Autodiff.Tape.workspace t.penalty_tape;
-    ws_pen_adj = Array.make t.n_penalties 0.0
-  }
-
-let features_forward t ws y =
-  Telemetry.Counter.incr c_feature_evals;
-  Autodiff.Tape.forward_into t.feature_tape ws.ws_feat y
-
-let features_backward t ws adj grad =
-  Autodiff.Tape.backward_into t.feature_tape ws.ws_feat adj grad
-
-let penalty_value_grad_into t ws y grad =
-  let margins = Autodiff.Tape.forward_into t.penalty_tape ws.ws_pen y in
-  let adj = ws.ws_pen_adj in
-  (* Same left-to-right accumulation as the fold in [penalty_value_grad],
-     written as a plain loop — and with [max g 0.0] spelled out as its
-     definition [if g >= 0.0 then g else 0.0] — so no float is boxed. *)
-  let value = ref 0.0 in
-  for k = 0 to Array.length adj - 1 do
-    let g = margins.(k) in
-    let m = if g >= 0.0 then g else 0.0 in
-    value := !value +. (m ** 2.0);
-    adj.(k) <- 2.0 *. m
-  done;
-  Autodiff.Tape.backward_into t.penalty_tape ws.ws_pen adj grad;
-  !value
-
-(* --- batched (structure-of-arrays) workspaces ------------------------------
-
-   One batch workspace runs both tapes over up to its capacity of
-   candidates in lockstep (see {!Autodiff.Tape.batch_workspace}); each
-   lane is bitwise-identical to the scalar kernels above on that candidate
+   One batch workspace runs both compiled plans over up to its capacity of
+   candidates in lockstep (see {!Autodiff.Tape.plan_batch_workspace}); each
+   lane is bitwise-identical to the scalar interpreter on that candidate
    alone. All matrices are lane-major: row [l] of a [batch * k] array is
    candidate [l]'s vector. *)
 
-(* A batch workspace is bound to an execution strategy at creation: the
-   interpreted tape sweeps, or the compiled superop plans (the default —
-   see [plan_execution] above). Both strategies are bitwise-identical lane
-   for lane, so callers never observe which one a workspace carries. *)
-type batch_impl =
-  | Interp of Autodiff.Tape.batch_workspace * Autodiff.Tape.batch_workspace
-  | Planned of Autodiff.Tape.plan_batch_workspace * Autodiff.Tape.plan_batch_workspace
-
 type batch_workspace = {
   bws_cap : int;
-  bws_impl : batch_impl;  (* (feature, penalty) buffers *)
+  bws_feat : Autodiff.Tape.plan_batch_workspace;
+  bws_pen : Autodiff.Tape.plan_batch_workspace;
   bws_pen_adj : float array;  (* cap * n_penalties, lane-major *)
 }
 
 let batch_workspace t ~batch =
   if batch < 1 then invalid_arg "Pack.batch_workspace: batch must be >= 1";
-  let impl =
-    if !plan_execution then
-      Planned
-        ( Autodiff.Tape.plan_batch_workspace t.feature_plan ~batch,
-          Autodiff.Tape.plan_batch_workspace t.penalty_plan ~batch )
-    else
-      Interp
-        ( Autodiff.Tape.batch_workspace t.feature_tape ~batch,
-          Autodiff.Tape.batch_workspace t.penalty_tape ~batch )
-  in
-  { bws_cap = batch; bws_impl = impl;
+  { bws_cap = batch;
+    bws_feat = Autodiff.Tape.plan_batch_workspace t.feature_plan ~batch;
+    bws_pen = Autodiff.Tape.plan_batch_workspace t.penalty_plan ~batch;
     bws_pen_adj = Array.make (max 1 (batch * t.n_penalties)) 0.0
   }
 
-let batch_capacity bws = bws.bws_cap
-
-let batch_workspace_planned bws =
-  match bws.bws_impl with Planned _ -> true | Interp _ -> false
-
 let features_forward_batch t bws ~batch ys =
   Telemetry.Counter.incr ~by:batch c_feature_evals;
-  match bws.bws_impl with
-  | Interp (feat, _) -> Autodiff.Tape.forward_batch_into t.feature_tape feat ~batch ys
-  | Planned (feat, _) ->
-    Autodiff.Tape.plan_forward_batch_into t.feature_plan feat ~batch ys
+  Autodiff.Tape.plan_forward_batch_into t.feature_plan bws.bws_feat ~batch ys
 
 let features_backward_batch t bws ~batch adj grads =
-  match bws.bws_impl with
-  | Interp (feat, _) ->
-    Autodiff.Tape.backward_batch_into t.feature_tape feat ~batch adj grads
-  | Planned (feat, _) ->
-    Autodiff.Tape.plan_backward_batch_into t.feature_plan feat ~batch adj grads
+  Autodiff.Tape.plan_backward_batch_into t.feature_plan bws.bws_feat ~batch adj grads
 
 let penalty_value_grad_batch_into t bws ~batch ys ~grads ~values =
   if batch < 1 || batch > bws.bws_cap then
@@ -591,15 +501,10 @@ let penalty_value_grad_batch_into t bws ~batch ys ~grads ~values =
   if Array.length values < batch then
     invalid_arg "Pack.penalty_value_grad_batch_into: values arity mismatch";
   let np = t.n_penalties in
-  let margins =
-    match bws.bws_impl with
-    | Interp (_, pen) -> Autodiff.Tape.forward_batch_into t.penalty_tape pen ~batch ys
-    | Planned (_, pen) ->
-      Autodiff.Tape.plan_forward_batch_into t.penalty_plan pen ~batch ys
-  in
+  let margins = Autodiff.Tape.plan_forward_batch_into t.penalty_plan bws.bws_pen ~batch ys in
   let adj = bws.bws_pen_adj in
-  (* Per lane, the exact loop of [penalty_value_grad_into]: left-to-right
-     accumulation with [max g 0.0] spelled as its branch so no float is
+  (* Per lane, the fold of [penalty_value_grad]: left-to-right
+     accumulation, with [max g 0.0] spelled as its branch so no float is
      boxed. *)
   for l = 0 to batch - 1 do
     let base = l * np in
@@ -612,11 +517,7 @@ let penalty_value_grad_batch_into t bws ~batch ys ~grads ~values =
     done;
     values.(l) <- !value
   done;
-  match bws.bws_impl with
-  | Interp (_, pen) ->
-    Autodiff.Tape.backward_batch_into t.penalty_tape pen ~batch adj grads
-  | Planned (_, pen) ->
-    Autodiff.Tape.plan_backward_batch_into t.penalty_plan pen ~batch adj grads
+  Autodiff.Tape.plan_backward_batch_into t.penalty_plan bws.bws_pen ~batch adj grads
 
 let round_to_valid t y =
   let n = Array.length t.names in

@@ -122,95 +122,43 @@ val features_vjp : t -> float array -> float array -> float array * float array
 (** [(features, dy)] where [dy] is the gradient of [sum_k adj_k * feat_k]
     with respect to [y]. *)
 
-val penalty_margins : t -> float array -> float array
-(** Smoothed constraint margins g_r(y); the schedule is feasible when all
-    are <= 0. *)
-
 val penalty_value_grad : t -> float array -> float * float array
 (** [(sum_r max(g_r, 0)^2, gradient)] — the penalty term of Equation 4
-    (without the lambda factor). One forward + one backward sweep. *)
-
-val penalty_vjp : t -> float array -> float array -> float array * float array
-(** [(margins, dy)] for an explicit margin adjoint — the building block of
-    {!penalty_value_grad}, exposed so callers can reproduce the legacy
-    (pre-fusion) objective composition exactly. *)
+    (without the lambda factor), where [g_r(y)] are the smoothed
+    constraint margins (the schedule is feasible when all are [<= 0]).
+    Scalar interpreter; the reference for
+    {!penalty_value_grad_batch_into}. *)
 
 val num_penalties : t -> int
 
 val feature_plan : t -> Autodiff.Tape.Plan.t
 (** The compiled superop plan of the feature tape (fusion statistics for
-    the bench harness; the batched workspaces execute it by default). *)
+    the bench harness; the batch workspaces execute it). *)
 
 val penalty_plan : t -> Autodiff.Tape.Plan.t
 
-(** {2 Fused-kernel workspaces}
+(** {2 Batch workspaces}
 
-    A [workspace] owns the tape value/adjoint buffers for this pack's
-    feature and penalty tapes. Ownership rules: one workspace per
-    concurrent evaluator (never shared across domains mid-call); arrays
-    returned by [features_forward] are workspace-owned and valid until the
-    next call on the same workspace; reuse across points/calls is safe
-    because every buffer is fully rewritten before it is read. *)
-
-type workspace
-
-val workspace : t -> workspace
-
-val features_forward : t -> workspace -> float array -> float array
-(** As {!features_at}, but allocation-free: runs the forward sweep into
-    the workspace and returns the workspace-owned feature vector. The
-    intermediate values are retained for {!features_backward}. *)
-
-val features_backward : t -> workspace -> float array -> float array -> unit
-(** [features_backward t ws adj grad] runs one reverse sweep against the
-    values of the last {!features_forward} on [ws], overwriting [grad]
-    with the y-gradient of [sum_k adj_k * feat_k]. Together with
-    {!features_forward} this is {!features_vjp} without the second
-    forward pass or any allocation. *)
-
-val penalty_value_grad_into : t -> workspace -> float array -> float array -> float
-(** [penalty_value_grad_into t ws y grad] is {!penalty_value_grad} with
-    zero allocation: overwrites [grad] and returns the penalty value. *)
-
-(** {2 Batched (structure-of-arrays) workspaces}
-
-    A [batch_workspace] runs both tapes over up to its capacity of
-    candidates in lockstep; lane [l] of every batched sweep is
-    bitwise-identical to the scalar workspace kernel on that candidate
-    alone, at any batch size. All matrices are lane-major rows
-    ([a.(l * k + i)] is component [i] of candidate [l]). Same ownership
-    rules as {!workspace}.
-
-    By default the batched sweeps execute the pack's compiled superop
-    plans ({!Autodiff.Tape.compile_plan}) through the strict-IEEE C
-    kernels; {!set_plan_execution} (or the [FELIX_NO_TAPE_PLAN]
-    environment variable) falls back to the interpreted tape sweeps. The
-    strategy is chosen when a workspace is created and both are
-    bitwise-identical lane for lane, so the toggle is unobservable in
-    results — it exists for differential testing and benchmarking. *)
-
-val set_plan_execution : bool -> unit
-(** Select compiled-plan ([true], the default) or interpreted batched
-    execution for workspaces created afterwards. Initialised to [false]
-    when [FELIX_NO_TAPE_PLAN] is [1]/[true]/[yes]. *)
-
-val using_plan_execution : unit -> bool
+    A [batch_workspace] runs both compiled plans
+    ({!Autodiff.Tape.compile_plan}) over up to its capacity of candidates
+    in lockstep; lane [l] of every sweep is bitwise-identical to the
+    scalar interpreter ({!features_at}, {!features_vjp},
+    {!penalty_value_grad}) on that candidate alone, at any batch size and
+    on either kernel set ({!Autodiff.Tape.set_vector_kernels}). All
+    matrices are lane-major rows ([a.(l * k + i)] is component [i] of
+    candidate [l]). One workspace per concurrent evaluator (never shared
+    across domains mid-call); arrays returned by {!features_forward_batch}
+    are workspace-owned and valid until the next call; reuse across calls
+    is safe because every buffer is rewritten before it is read. *)
 
 type batch_workspace
 
 val batch_workspace : t -> batch:int -> batch_workspace
-(** Buffers for up to [batch] lanes ([batch >= 1]); bound to the current
-    {!using_plan_execution} strategy. *)
-
-val batch_capacity : batch_workspace -> int
-
-val batch_workspace_planned : batch_workspace -> bool
-(** Whether this workspace executes the compiled plans (for tests and the
-    bench harness). *)
+(** Buffers for up to [batch] lanes ([batch >= 1]). *)
 
 val features_forward_batch :
   t -> batch_workspace -> batch:int -> float array -> float array
-(** Lockstep {!features_forward} over the lane-major point rows of [ys];
+(** Lockstep {!features_at} over the lane-major point rows of [ys];
     returns the workspace-owned [batch * 82] lane-major feature matrix
     (do not retain). Intermediate values are kept for
     {!features_backward_batch}. *)
@@ -229,7 +177,7 @@ val penalty_value_grad_batch_into :
   grads:float array ->
   values:float array ->
   unit
-(** Lockstep {!penalty_value_grad_into}: per lane, overwrites row [l] of
+(** Lockstep {!penalty_value_grad}: per lane, overwrites row [l] of
     [grads] with the penalty gradient and [values.(l)] with the penalty
     value. *)
 

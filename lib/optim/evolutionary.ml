@@ -61,20 +61,13 @@ let crossover rng pack ya yb =
    scoring is pure, so batching — and fanning the batch out across a
    runtime's domains — leaves every RNG draw, prediction list and the final
    ranking bit-identical to the sequential run. *)
-let search_round (cfg : Tuning_config.t) rng ?runtime ?batch model packs ~elites
+let search_round (cfg : Tuning_config.t) rng ?runtime model packs ~elites
     ~already_measured =
   Telemetry.with_span Telemetry.global "ansor.search_round"
     ~attrs:[ ("packs", Telemetry.Int (List.length packs)) ]
   @@ fun () ->
   let packs = Array.of_list packs in
   if Array.length packs = 0 then invalid_arg "Evolutionary.search_round: no sketches";
-  (* Fused predictors, one per pack; scoring goes through their pooled
-     workspaces (bitwise-equal to Mlp.forward over Pack.features_at). *)
-  let objs = Array.map (fun pack -> Objective.create ~lambda:cfg.lambda model pack) packs in
-  let obj_of pack =
-    let rec go i = if packs.(i) == pack then objs.(i) else go (i + 1) in
-    go 0
-  in
   let prediction_cache : (string, float) Hashtbl.t = Hashtbl.create 512 in
   let all_predictions = ref [] in
   let evaluated = ref 0 in
@@ -94,64 +87,9 @@ let search_round (cfg : Tuning_config.t) rng ?runtime ?batch model packs ~elites
         end)
       protos;
     let fresh = Array.of_list (List.rev !fresh) in
-    let predict (pack, y, _key) = Objective.predict (obj_of pack) y in
-    let preds =
-      match batch with
-      | Some b when b > 1 && Array.length fresh > 0 ->
-        (* Batched population scoring: group fresh individuals by physical
-           pack (population order within each group), tile each group into
-           lockstep batches and score tiles through the SoA kernels. Each
-           lane is bitwise the scalar predict, and write-back goes by
-           original index, so predictions land exactly as the scalar
-           map's. *)
-        let preds = Array.make (Array.length fresh) 0.0 in
-        let groups = ref [] in
-        Array.iteri
-          (fun i (pack, _, _) ->
-            match List.find_opt (fun (p, _) -> p == pack) !groups with
-            | Some (_, l) -> l := i :: !l
-            | None -> groups := (pack, ref [ i ]) :: !groups)
-          fresh;
-        let tiles =
-          List.concat_map
-            (fun (pack, l) ->
-              let idxs = Array.of_list (List.rev !l) in
-              let n = Array.length idxs in
-              List.init ((n + b - 1) / b) (fun ti ->
-                  let off = ti * b in
-                  (pack, Array.sub idxs off (min b (n - off)))))
-            (List.rev !groups)
-          |> Array.of_list
-        in
-        let run_tile (pack, idxs) =
-          let nt = Array.length idxs in
-          let nv = Pack.num_vars pack in
-          let ys = Array.make (nt * nv) 0.0 in
-          Array.iteri
-            (fun l i ->
-              let _, y, _ = fresh.(i) in
-              Array.blit y 0 ys (l * nv) nv)
-            idxs;
-          let scores = Array.make nt 0.0 in
-          Objective.predict_batch (obj_of pack) ~batch:nt ys ~scores;
-          scores
-        in
-        let per_tile =
-          match runtime with
-          | Some rt -> Runtime.parallel_map rt run_tile tiles
-          | None -> Array.map run_tile tiles
-        in
-        Array.iteri
-          (fun ti scores ->
-            let _, idxs = tiles.(ti) in
-            Array.iteri (fun l i -> preds.(i) <- scores.(l)) idxs)
-          per_tile;
-        preds
-      | _ -> (
-        match runtime with
-        | Some rt -> Runtime.parallel_map rt predict fresh
-        | None -> Array.map predict fresh)
-    in
+    (* Scored in same-pack tiles (bitwise-equal to Mlp.forward over
+       Pack.features_at), written back in population order. *)
+    let preds = Objective.predict_all ?runtime model (fun (pack, y, _) -> (pack, y)) fresh in
     Array.iteri
       (fun i (_pack, _y, key) ->
         Hashtbl.replace prediction_cache key preds.(i);

@@ -20,7 +20,6 @@ val search_round :
   Tuning_config.t ->
   Rng.t ->
   ?runtime:Runtime.t ->
-  ?batch:int ->
   Mlp.t ->
   Pack.t list ->
   elites:(Pack.t * float array) list ->
@@ -28,13 +27,13 @@ val search_round :
   individual list * trace
 (** One evolutionary round. [elites] seeds part of the initial population
     with the best schedules measured so far (Ansor's warm start). Returns
-    the top [nmeasure_ansor] unmeasured individuals, best first. With
-    [runtime], population scoring (the cost-model forwards) fans out across
-    domains; genetic operators keep drawing from [rng] in sequential order,
-    so the result is bit-identical to the sequential run. With [batch] > 1,
-    population scoring runs through the batched structure-of-arrays
-    kernels in per-pack tiles of up to [batch] individuals — each lane is
-    bitwise the scalar predict, so results are again unchanged. *)
+    the top [nmeasure_ansor] unmeasured individuals, best first.
+    Population scoring (the cost-model forwards) runs through the batched
+    kernels in same-pack tiles ({!Objective.predict_all}); with [runtime],
+    the tiles fan out across domains. Genetic operators keep drawing from
+    [rng] in sequential order and each lane is bitwise the scalar
+    prediction, so the result is the same at any domain count and tile
+    split. *)
 
 val mutate : Rng.t -> Pack.t -> float array -> float array option
 (** Divisor-respecting mutation of one variable group; [None] when the

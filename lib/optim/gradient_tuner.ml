@@ -4,127 +4,57 @@ type trace = { steps_done : int; predictions : float list }
 
 let h_gd_step = Telemetry.histogram Telemetry.global "felix.gd_step_ms"
 
-(* Adam descent on O(y) through a fused {!Objective}: one reused gradient
-   buffer, zero allocation per step beyond the trajectory snapshots. *)
-let descend_obj (cfg : Tuning_config.t) obj y0 =
-  let n = Array.length y0 in
-  let y = Array.copy y0 in
-  let adam = Adam.create ~lr:cfg.gd_lr n in
-  let bounds = Pack.bounds_log (Objective.pack obj) in
-  let grad = Array.make n 0.0 in
-  let history = ref [] in
+(* Lockstep Adam descent of one tile of seeds of one pack. Lane [l] is
+   the scalar Adam loop on seed [l] exactly: the batched value/gradient,
+   Adam sweep and clamp are all elementwise per lane in the scalar order,
+   so each trajectory (points and objectives) is bitwise-identical to a
+   lone descent of that seed, at any tile width. *)
+let descend_tile (cfg : Tuning_config.t) obj y0s =
+  let b = Array.length y0s in
+  let pack = Objective.pack obj in
+  let n = Pack.num_vars pack in
+  let ys = Array.make (b * n) 0.0 in
+  Array.iteri
+    (fun l y0 ->
+      if Array.length y0 <> n then
+        invalid_arg "Gradient_tuner.descend_batch: seed arity mismatch";
+      Array.blit y0 0 ys (l * n) n)
+    y0s;
+  let adam = Adam.create_batch ~lr:cfg.gd_lr ~batch:b n in
+  let bounds = Pack.bounds_log pack in
+  let grads = Array.make (b * n) 0.0 in
+  let objs = Array.make b 0.0 in
+  let hist = Array.make b [] in
   let timed = Telemetry.enabled Telemetry.global in
+  let eval_and_snapshot () =
+    Objective.value_grad_batch obj ~lambda:cfg.lambda ~batch:b ys ~grads ~objs;
+    for l = 0 to b - 1 do
+      hist.(l) <- (Array.sub ys (l * n) n, objs.(l)) :: hist.(l)
+    done
+  in
   for _ = 1 to cfg.nsteps do
     let t0 = if timed then Telemetry.now_s Telemetry.global else 0.0 in
-    let o = Objective.value_grad obj y ~grad in
-    history := (Array.copy y, o) :: !history;
-    Adam.step adam ~params:y ~grads:grad;
+    eval_and_snapshot ();
+    Adam.step_batch adam ~batch:b ~params:ys ~grads;
     (* Keep iterates near the relaxed box; the penalties do the fine
        enforcement, the clamp prevents numeric runaway. *)
-    Array.iteri
-      (fun i (lo, hi) -> y.(i) <- Stats.clamp ~lo:(lo -. 0.7) ~hi:(hi +. 0.7) y.(i))
-      bounds;
+    for l = 0 to b - 1 do
+      let base = l * n in
+      Array.iteri
+        (fun i (lo, hi) ->
+          ys.(base + i) <- Stats.clamp ~lo:(lo -. 0.7) ~hi:(hi +. 0.7) ys.(base + i))
+        bounds
+    done;
+    (* Amortised per-lane step time, so the histogram reads per seed. *)
     if timed then
       Telemetry.Histogram.observe h_gd_step
-        ((Telemetry.now_s Telemetry.global -. t0) *. 1000.0)
+        ((Telemetry.now_s Telemetry.global -. t0) *. 1000.0 /. float_of_int b)
   done;
-  let o = Objective.value_grad obj y ~grad in
-  history := (Array.copy y, o) :: !history;
-  List.rev !history
+  eval_and_snapshot ();
+  Array.map List.rev hist
 
-let descend (cfg : Tuning_config.t) _rng model pack y0 =
-  descend_obj cfg (Objective.create ~lambda:cfg.lambda model pack) y0
-
-(* Lockstep Adam descent of a whole tile of seeds through the batched
-   objective kernels. Lane [l] replays [descend_obj] on seed [l] exactly:
-   the batched value/gradient, Adam sweep and clamp are all elementwise
-   per lane in the scalar order, so the trajectories (points and
-   objectives) are bitwise-identical to [b] scalar descents, at any batch
-   size. *)
-let descend_obj_batch (cfg : Tuning_config.t) obj y0s =
-  let b = Array.length y0s in
-  if b = 0 then [||]
-  else begin
-    let n = Array.length y0s.(0) in
-    let ys = Array.make (b * n) 0.0 in
-    Array.iteri
-      (fun l y0 ->
-        if Array.length y0 <> n then
-          invalid_arg "Gradient_tuner.descend_batch: seed arity mismatch";
-        Array.blit y0 0 ys (l * n) n)
-      y0s;
-    let adam = Adam.create_batch ~lr:cfg.gd_lr ~batch:b n in
-    let bounds = Pack.bounds_log (Objective.pack obj) in
-    let grads = Array.make (b * n) 0.0 in
-    let objs = Array.make b 0.0 in
-    let hist = Array.make b [] in
-    let timed = Telemetry.enabled Telemetry.global in
-    let eval_and_snapshot () =
-      Objective.value_grad_batch obj ~batch:b ys ~grads ~objs;
-      for l = 0 to b - 1 do
-        hist.(l) <- (Array.sub ys (l * n) n, objs.(l)) :: hist.(l)
-      done
-    in
-    for _ = 1 to cfg.nsteps do
-      let t0 = if timed then Telemetry.now_s Telemetry.global else 0.0 in
-      eval_and_snapshot ();
-      Adam.step_batch adam ~batch:b ~params:ys ~grads;
-      for l = 0 to b - 1 do
-        let base = l * n in
-        Array.iteri
-          (fun i (lo, hi) ->
-            ys.(base + i) <- Stats.clamp ~lo:(lo -. 0.7) ~hi:(hi +. 0.7) ys.(base + i))
-          bounds
-      done;
-      (* Amortised per-lane step time, so the histogram stays comparable
-         with the scalar path's per-step samples. *)
-      if timed then
-        Telemetry.Histogram.observe h_gd_step
-          ((Telemetry.now_s Telemetry.global -. t0) *. 1000.0 /. float_of_int b)
-    done;
-    eval_and_snapshot ();
-    Array.map List.rev hist
-  end
-
-let descend_batch (cfg : Tuning_config.t) ?runtime ?batch model pack y0s =
-  let nseeds = Array.length y0s in
-  if nseeds = 0 then [||]
-  else begin
-    let obj = Objective.create ~lambda:cfg.lambda model pack in
-    let tile = match batch with Some b -> max 1 b | None -> nseeds in
-    let ntiles = (nseeds + tile - 1) / tile in
-    let tiles =
-      Array.init ntiles (fun ti ->
-          let off = ti * tile in
-          Array.sub y0s off (min tile (nseeds - off)))
-    in
-    let run tile = descend_obj_batch cfg obj tile in
-    let per_tile =
-      match runtime with
-      | Some rt when ntiles > 1 -> Runtime.parallel_map rt run tiles
-      | _ -> Array.map run tiles
-    in
-    Array.concat (Array.to_list per_tile)
-  end
-
-(* Split [arr] into tiles of at most [b] contiguous elements sharing one
-   objective (physical equality), preserving order — tile concatenation
-   rebuilds [arr] exactly, so batched phases keep the sequential result
-   order. *)
-let tile_by_obj b obj_of arr =
-  let n = Array.length arr in
-  let tiles = ref [] in
-  let i = ref 0 in
-  while !i < n do
-    let obj = obj_of arr.(!i) in
-    let j = ref (!i + 1) in
-    while !j < n && obj_of arr.(!j) == obj && !j - !i < b do
-      incr j
-    done;
-    tiles := (obj, Array.sub arr !i (!j - !i)) :: !tiles;
-    i := !j
-  done;
-  Array.of_list (List.rev !tiles)
+let descend_batch (cfg : Tuning_config.t) ?runtime model pack y0s =
+  Objective.map_tiles ?runtime model (fun _ -> pack) y0s (descend_tile cfg)
 
 (* The round is staged so a runtime can fan out the pure phases without
    perturbing the RNG stream: start points are sampled sequentially in the
@@ -132,126 +62,67 @@ let tile_by_obj b obj_of arr =
    then descents + factor rounding run on any domain, then deduplication and
    prediction happen in discovery order. Results are bit-identical to the
    sequential implementation at any domain count. *)
-let search_round (cfg : Tuning_config.t) rng ?runtime ?batch model packs ~already_measured =
+let search_round (cfg : Tuning_config.t) rng ?runtime model packs ~already_measured =
   Telemetry.with_span Telemetry.global "felix.search_round"
     ~attrs:[ ("packs", Telemetry.Int (List.length packs)) ]
   @@ fun () ->
   let npacks = max 1 (List.length packs) in
   let seeds_per_pack = max 1 (cfg.nseeds / npacks) in
-  (* One fused objective per pack; its workspace pool is shared by every
-     descent on that pack (including parallel ones — the pool hands each
-     concurrent caller a private workspace). *)
-  let objs = List.map (fun pack -> Objective.create ~lambda:cfg.lambda model pack) packs in
   (* Phase 1 (sequential): consume the RNG in legacy order. *)
   let starts =
     List.concat_map
-      (fun obj ->
-        let pack = Objective.pack obj in
+      (fun pack ->
         List.filter_map
-          (fun _ -> Option.map (fun y0 -> (obj, y0)) (Dataset.sample_valid_point rng pack 100))
+          (fun _ -> Option.map (fun y0 -> (pack, y0)) (Dataset.sample_valid_point rng pack 100))
           (List.init seeds_per_pack Fun.id))
-      objs
+      packs
+    |> Array.of_list
   in
-  (* Phase 2 (parallel): pure gradient descents plus factor rounding. *)
-  let run_start (obj, y0) =
-    let pack = Objective.pack obj in
-    let trajectory = descend_obj cfg obj y0 in
-    let rounded =
-      List.filter_map
-        (fun (y, _obj) ->
-          Option.map (fun r -> (r, Pack.schedule_key pack r)) (Pack.round_to_valid pack y))
-        trajectory
-    in
-    (obj, List.length trajectory, rounded)
-  in
+  (* Phase 2 (parallel): lockstep descents in same-pack tiles, plus factor
+     rounding. Each lane is bitwise a lone descent and results come back
+     in seed order, so the round does not depend on the tiling. *)
   let per_start =
-    let arr = Array.of_list starts in
-    match batch with
-    | Some b when b > 1 && Array.length arr > 0 ->
-      (* Lockstep descent: tile contiguous same-pack seed runs (phase 1
-         emits seeds grouped per pack) and descend each tile as one
-         batch. Each lane is bitwise the scalar descent, and tiles
-         concatenate back in seed order, so the round's result is
-         unchanged. *)
-      let tiles = tile_by_obj b fst arr in
-      let run_tile (obj, tile) =
+    Objective.map_tiles ?runtime model fst starts (fun obj tile ->
         let pack = Objective.pack obj in
-        let trajs = descend_obj_batch cfg obj (Array.map snd tile) in
-        Array.map
-          (fun trajectory ->
-            let rounded =
-              List.filter_map
-                (fun (y, _obj) ->
-                  Option.map
-                    (fun r -> (r, Pack.schedule_key pack r))
-                    (Pack.round_to_valid pack y))
-                trajectory
-            in
-            (obj, List.length trajectory, rounded))
-          trajs
-      in
-      let per_tile =
-        match runtime with
-        | Some rt -> Runtime.parallel_map rt run_tile tiles
-        | None -> Array.map run_tile tiles
-      in
-      Array.concat (Array.to_list per_tile)
-    | _ -> (
-      match runtime with
-      | Some rt -> Runtime.parallel_map rt run_start arr
-      | None -> Array.map run_start arr)
+        descend_tile cfg obj (Array.map snd tile)
+        |> Array.map (fun trajectory ->
+               let rounded =
+                 List.filter_map
+                   (fun (y, _obj) ->
+                     Option.map
+                       (fun r -> (r, Pack.schedule_key pack r))
+                       (Pack.round_to_valid pack y))
+                   trajectory
+               in
+               (pack, List.length trajectory, rounded)))
   in
   (* Phase 3 (sequential): dedup trajectory points in discovery order. *)
   let seen : (string, unit) Hashtbl.t = Hashtbl.create 64 in
   let uniques = ref [] in
   let steps = ref 0 in
   Array.iter
-    (fun (obj, n_steps, rounded) ->
+    (fun (pack, n_steps, rounded) ->
       steps := !steps + n_steps;
       List.iter
         (fun (r, key) ->
           if not (Hashtbl.mem seen key) then begin
             Hashtbl.replace seen key ();
-            uniques := (obj, r, key) :: !uniques
+            uniques := (pack, r, key) :: !uniques
           end)
         rounded)
     per_start;
   let uniques = Array.of_list (List.rev !uniques) in
-  (* Phase 4 (parallel): predict each unique point once, through the fused
-     workspaces (bitwise-equal to Mlp.forward over Pack.features_at). *)
-  let predict (obj, r, _key) = Objective.predict obj r in
-  let preds =
-    match batch with
-    | Some b when b > 1 && Array.length uniques > 0 ->
-      let tiles = tile_by_obj b (fun (obj, _, _) -> obj) uniques in
-      let run_tile (obj, tile) =
-        let nt = Array.length tile in
-        let nv = Pack.num_vars (Objective.pack obj) in
-        let ys = Array.make (nt * nv) 0.0 in
-        Array.iteri (fun l (_, r, _) -> Array.blit r 0 ys (l * nv) nv) tile;
-        let scores = Array.make nt 0.0 in
-        Objective.predict_batch obj ~batch:nt ys ~scores;
-        scores
-      in
-      let per_tile =
-        match runtime with
-        | Some rt -> Runtime.parallel_map rt run_tile tiles
-        | None -> Array.map run_tile tiles
-      in
-      Array.concat (Array.to_list per_tile)
-    | _ -> (
-      match runtime with
-      | Some rt -> Runtime.parallel_map rt predict uniques
-      | None -> Array.map predict uniques)
-  in
+  (* Phase 4 (parallel): predict each unique point once, in same-pack
+     tiles (bitwise-equal to Mlp.forward over Pack.features_at). *)
+  let preds = Objective.predict_all ?runtime model (fun (pack, r, _) -> (pack, r)) uniques in
   let candidates = ref [] in
   let predictions = ref [] in
   Array.iteri
-    (fun i (obj, r, key) ->
+    (fun i (pack, r, key) ->
       let predicted = preds.(i) in
       predictions := predicted :: !predictions;
       if not (already_measured key) then
-        candidates := { pack = Objective.pack obj; y = r; key; predicted } :: !candidates)
+        candidates := { pack; y = r; key; predicted } :: !candidates)
     uniques;
   let sorted =
     List.sort (fun a b -> compare b.predicted a.predicted) !candidates

@@ -27,38 +27,29 @@ val search_round :
   Tuning_config.t ->
   Rng.t ->
   ?runtime:Runtime.t ->
-  ?batch:int ->
   Mlp.t ->
   Pack.t list ->
   already_measured:(string -> bool) ->
   candidate list * trace
 (** One Felix round over the subgraph's sketches. Returns the top
     [nmeasure_felix] new candidates sorted by predicted performance
-    (best first), plus the search trace. With [runtime], the pure phases
-    (descents, rounding, cost-model predictions) fan out across domains;
-    the RNG is consumed in the sequential order, so the result is
-    bit-identical to the sequential run. With [batch] > 1, descents and
-    predictions run through the batched lockstep kernels in tiles of up
-    to [batch] same-pack seeds — each lane is bitwise the scalar sweep,
-    so results are unchanged at any batch size and domain count (tiles
-    fan out across the runtime's domains when both are given). *)
-
-val descend :
-  Tuning_config.t -> Rng.t -> Mlp.t -> Pack.t -> float array -> (float array * float) list
-(** Expose a single seed's Adam trajectory [(y, objective)] for tests and
-    the ablation benchmarks. *)
+    (best first), plus the search trace. Descents and predictions run
+    through the batched kernels in same-pack tiles ({!Objective.map_tiles});
+    with [runtime], they fan out across domains. The RNG is consumed
+    in the sequential order and every lane is bitwise a lone descent, so
+    the result is the same at any domain count and tile split. *)
 
 val descend_batch :
   Tuning_config.t ->
   ?runtime:Runtime.t ->
-  ?batch:int ->
   Mlp.t ->
   Pack.t ->
   float array array ->
   (float array * float) list array
-(** Lockstep {!descend} over a population of seeds of one pack:
-    [descend_batch cfg model pack y0s] returns one trajectory per seed,
-    in order. Seeds are descended in tiles of up to [batch] lanes
-    (default: all at once) through the structure-of-arrays kernels;
-    trajectory [l] is bitwise-identical to [descend] on seed [l]. With
-    [runtime], tiles fan out across domains. *)
+(** Adam descent of a population of seeds of one pack, minimising
+    Equation 4: [descend_batch cfg model pack y0s] returns one trajectory
+    [(y, objective)] per seed, in order — [nsteps + 1] points, the last
+    one after the final step. Seeds run in lockstep tiles
+    ({!Objective.map_tiles}; across domains with [runtime]); trajectory
+    [l] is bitwise-identical to descending seed [l] alone. Exposed for
+    tests, examples and the ablation benchmarks. *)

@@ -1,147 +1,51 @@
-(* Fused objective-gradient kernel for Equation 4:
+(* Batched objective-gradient kernel for Equation 4:
 
      O(y) = -C(Feat(y)) + lambda * sum_r max(g_r(y), 0)^2
 
-   One [value_grad] call runs exactly two tape forwards (features,
-   penalties), two tape backwards, and one MLP forward + backward — all
-   into pooled, pre-sized workspaces, so the Adam inner loop allocates
-   nothing. Every buffer is fully rewritten before it is read, which
-   makes the result independent of workspace reuse: the fused path is
-   bitwise-identical to [legacy_value_grad] (the historical allocating
-   composition) at any domain count. *)
-
-type ws = {
-  pws : Pack.workspace;
-  mws : Mlp.workspace;
-  w_adj : float array;  (* feature adjoint, one per model input *)
-  w_gmodel : float array;  (* y-gradient of the model term *)
-  w_gpen : float array;  (* y-gradient of the penalty term *)
-}
-
-(* Batched counterpart of [ws]: lane-major matrices sized for [b_cap]
-   candidates, backing one lockstep sweep over a whole tile of seeds. *)
-type bws = {
-  b_cap : int;
-  b_pws : Pack.batch_workspace;
-  b_mws : Mlp.batch_workspace;
-  b_adj : float array;  (* cap * n_model_inputs feature adjoints *)
-  b_gmodel : float array;  (* cap * n_vars *)
-  b_gpen : float array;
-  b_scores : float array;  (* cap *)
-  b_pvals : float array;
-}
+   over one tile of candidates. One [value_grad_batch] call runs two
+   compiled-plan forwards (features, penalties), two plan backwards, and
+   one MLP forward + backward, all over the whole tile and into the
+   tile's own pre-sized workspace, so the Adam inner loop allocates
+   nothing. Every lane runs the scalar reference's operation sequence, so
+   lane [l] is bitwise the scalar composition (features_at +
+   input_gradient + features_vjp + penalty_value_grad) on row [l], at any
+   tile width and domain count. *)
 
 type t = {
   pack : Pack.t;
   model : Mlp.t;
-  lambda : float;
-  (* Workspace pool: descents running on worker domains borrow one each.
-     A free list under a mutex (rather than Domain.DLS keys, which are
-     never reclaimed) bounds live workspaces by the number of concurrent
-     callers. Batch workspaces get their own pool, keyed by nothing but
-     capacity (a too-small pooled one is simply replaced). *)
-  lock : Mutex.t;
-  mutable pool : ws list;
-  mutable bpool : bws list;
+  cap : int;
+  pws : Pack.batch_workspace;
+  mws : Mlp.batch_workspace;
+  adj : float array;  (* cap * n_model_inputs feature adjoints *)
+  gmodel : float array;  (* cap * n_vars *)
+  gpen : float array;
+  scores : float array;  (* cap *)
+  pvals : float array;
 }
 
-let create ~lambda model pack =
-  { pack; model; lambda; lock = Mutex.create (); pool = []; bpool = [] }
+let create ~batch model pack =
+  if batch < 1 then invalid_arg "Objective.create: batch must be >= 1";
+  let nv = Pack.num_vars pack and ni = Mlp.n_inputs model in
+  { pack;
+    model;
+    cap = batch;
+    pws = Pack.batch_workspace pack ~batch;
+    mws = Mlp.batch_workspace model ~batch;
+    adj = Array.make (batch * ni) 0.0;
+    gmodel = Array.make (batch * nv) 0.0;
+    gpen = Array.make (batch * nv) 0.0;
+    scores = Array.make batch 0.0;
+    pvals = Array.make batch 0.0
+  }
 
 let pack t = t.pack
-let lambda t = t.lambda
 
-let fresh_ws t =
-  { pws = Pack.workspace t.pack;
-    mws = Mlp.workspace t.model;
-    w_adj = Array.make (Mlp.n_inputs t.model) 0.0;
-    w_gmodel = Array.make (Pack.num_vars t.pack) 0.0;
-    w_gpen = Array.make (Pack.num_vars t.pack) 0.0
-  }
+let check_batch t ~batch name =
+  if batch < 1 || batch > t.cap then invalid_arg (name ^ ": batch exceeds capacity")
 
-let acquire t =
-  Mutex.lock t.lock;
-  let got = match t.pool with
-    | ws :: rest ->
-      t.pool <- rest;
-      Some ws
-    | [] -> None
-  in
-  Mutex.unlock t.lock;
-  match got with Some ws -> ws | None -> fresh_ws t
-
-let release t ws =
-  Mutex.lock t.lock;
-  t.pool <- ws :: t.pool;
-  Mutex.unlock t.lock
-
-let with_ws t f =
-  let ws = acquire t in
-  Fun.protect ~finally:(fun () -> release t ws) (fun () -> f ws)
-
-let value_grad t y ~grad =
-  if Array.length grad <> Pack.num_vars t.pack then
-    invalid_arg "Objective.value_grad: gradient arity mismatch";
-  with_ws t @@ fun ws ->
-  (* Feature forward (values retained in the workspace for the backward
-     sweep), then the model's input gradient off those features. *)
-  let feats = Pack.features_forward t.pack ws.pws y in
-  let score = Mlp.input_gradient_into t.model ws.mws feats ws.w_adj in
-  (* dO/dfeat = -dC/dfeat. *)
-  for i = 0 to Array.length ws.w_adj - 1 do
-    ws.w_adj.(i) <- -.ws.w_adj.(i)
-  done;
-  Pack.features_backward t.pack ws.pws ws.w_adj ws.w_gmodel;
-  let pval = Pack.penalty_value_grad_into t.pack ws.pws y ws.w_gpen in
-  let obj = -.score +. (t.lambda *. pval) in
-  for i = 0 to Array.length grad - 1 do
-    grad.(i) <- ws.w_gmodel.(i) +. (t.lambda *. ws.w_gpen.(i))
-  done;
-  obj
-
-let predict t y =
-  with_ws t @@ fun ws ->
-  Mlp.forward_into t.model ws.mws (Pack.features_forward t.pack ws.pws y)
-
-(* --- batched lockstep evaluation ------------------------------------------- *)
-
-let fresh_bws t ~batch =
-  let nv = Pack.num_vars t.pack and ni = Mlp.n_inputs t.model in
-  { b_cap = batch;
-    b_pws = Pack.batch_workspace t.pack ~batch;
-    b_mws = Mlp.batch_workspace t.model ~batch;
-    b_adj = Array.make (batch * ni) 0.0;
-    b_gmodel = Array.make (batch * nv) 0.0;
-    b_gpen = Array.make (batch * nv) 0.0;
-    b_scores = Array.make batch 0.0;
-    b_pvals = Array.make batch 0.0
-  }
-
-let acquire_batch t ~batch =
-  if batch < 1 then invalid_arg "Objective: batch must be >= 1";
-  Mutex.lock t.lock;
-  let got =
-    match t.bpool with
-    | bws :: rest ->
-      t.bpool <- rest;
-      Some bws
-    | [] -> None
-  in
-  Mutex.unlock t.lock;
-  match got with
-  | Some bws when bws.b_cap >= batch -> bws
-  | Some _ | None -> fresh_bws t ~batch
-
-let release_batch t bws =
-  Mutex.lock t.lock;
-  t.bpool <- bws :: t.bpool;
-  Mutex.unlock t.lock
-
-let with_bws t ~batch f =
-  let bws = acquire_batch t ~batch in
-  Fun.protect ~finally:(fun () -> release_batch t bws) (fun () -> f bws)
-
-let value_grad_batch t ~batch ys ~grads ~objs =
+let value_grad_batch t ~lambda ~batch ys ~grads ~objs =
+  check_batch t ~batch "Objective.value_grad_batch";
   let nv = Pack.num_vars t.pack in
   if Array.length ys < batch * nv then
     invalid_arg "Objective.value_grad_batch: point arity mismatch";
@@ -149,50 +53,100 @@ let value_grad_batch t ~batch ys ~grads ~objs =
     invalid_arg "Objective.value_grad_batch: gradient arity mismatch";
   if Array.length objs < batch then
     invalid_arg "Objective.value_grad_batch: objective arity mismatch";
-  with_bws t ~batch @@ fun bws ->
-  (* The scalar [value_grad] composition, one batched kernel per stage;
-     each lane runs the exact scalar sweeps, so lane [l] is bitwise the
-     scalar call on row [l]. *)
-  let feats = Pack.features_forward_batch t.pack bws.b_pws ~batch ys in
-  Mlp.input_gradient_batch_into t.model bws.b_mws ~batch feats ~grads:bws.b_adj
-    ~scores:bws.b_scores;
-  let adj = bws.b_adj in
+  (* Feature forward (values retained in the workspace for the backward
+     sweep), then the model's input gradient off those features. *)
+  let feats = Pack.features_forward_batch t.pack t.pws ~batch ys in
+  Mlp.input_gradient_batch_into t.model t.mws ~batch feats ~grads:t.adj ~scores:t.scores;
+  (* dO/dfeat = -dC/dfeat. *)
+  let adj = t.adj in
   for i = 0 to (batch * Mlp.n_inputs t.model) - 1 do
     Array.unsafe_set adj i (-.Array.unsafe_get adj i)
   done;
-  Pack.features_backward_batch t.pack bws.b_pws ~batch adj bws.b_gmodel;
-  Pack.penalty_value_grad_batch_into t.pack bws.b_pws ~batch ys ~grads:bws.b_gpen
-    ~values:bws.b_pvals;
-  let lambda = t.lambda in
+  Pack.features_backward_batch t.pack t.pws ~batch adj t.gmodel;
+  Pack.penalty_value_grad_batch_into t.pack t.pws ~batch ys ~grads:t.gpen ~values:t.pvals;
   for l = 0 to batch - 1 do
-    objs.(l) <- -.Array.unsafe_get bws.b_scores l +. (lambda *. Array.unsafe_get bws.b_pvals l)
+    objs.(l) <- -.Array.unsafe_get t.scores l +. (lambda *. Array.unsafe_get t.pvals l)
   done;
-  let gm = bws.b_gmodel and gp = bws.b_gpen in
+  let gm = t.gmodel and gp = t.gpen in
   for j = 0 to (batch * nv) - 1 do
     Array.unsafe_set grads j (Array.unsafe_get gm j +. (lambda *. Array.unsafe_get gp j))
   done
 
 let predict_batch t ~batch ys ~scores =
+  check_batch t ~batch "Objective.predict_batch";
   if Array.length ys < batch * Pack.num_vars t.pack then
     invalid_arg "Objective.predict_batch: point arity mismatch";
   if Array.length scores < batch then
     invalid_arg "Objective.predict_batch: scores arity mismatch";
-  with_bws t ~batch @@ fun bws ->
-  let feats = Pack.features_forward_batch t.pack bws.b_pws ~batch ys in
-  Mlp.forward_batch_into t.model bws.b_mws ~batch feats ~scores
+  let feats = Pack.features_forward_batch t.pack t.pws ~batch ys in
+  Mlp.forward_batch_into t.model t.mws ~batch feats ~scores
 
-(* The pre-fusion composition, kept verbatim as the reference the fused
-   kernel is tested (and benchmarked) against — including the separate
-   penalty eval + vjp (two penalty forwards) the fused path eliminates. *)
-let legacy_value_grad ~lambda model pack y =
-  let feats = Pack.features_at pack y in
-  let score, dscore_dfeat = Mlp.input_gradient model feats in
-  let adj = Array.map (fun d -> -.d) dscore_dfeat in
-  let _, dy_model = Pack.features_vjp pack y adj in
-  let margins = Pack.penalty_margins pack y in
-  let pval = Array.fold_left (fun acc g -> acc +. (max g 0.0 ** 2.0)) 0.0 margins in
-  let padj = Array.map (fun g -> 2.0 *. max g 0.0) margins in
-  let _, pgrad = Pack.penalty_vjp pack y padj in
-  let obj = -.score +. (lambda *. pval) in
-  let grad = Array.mapi (fun i g -> g +. (lambda *. pgrad.(i))) dy_model in
-  (obj, grad)
+(* --- tiling ------------------------------------------------------------------ *)
+
+(* BENCH_tape: per-point plan throughput at B=128 is within 8% of B=32,
+   while workspace memory grows linearly with the width. *)
+let max_batch = 32
+
+let map_tiles ?runtime model pack_of items f =
+  let domains = match runtime with Some rt -> Runtime.domains rt | None -> 1 in
+  (* Group item indices by physical pack, in order of first appearance. *)
+  let groups = ref [] in
+  Array.iteri
+    (fun i item ->
+      let p = pack_of item in
+      match List.find_opt (fun (q, _) -> q == p) !groups with
+      | Some (_, l) -> l := i :: !l
+      | None -> groups := (p, ref [ i ]) :: !groups)
+    items;
+  (* Each group splits into min(domains, n) contiguous chunks of
+     near-equal size, one per parallel task. *)
+  let chunks =
+    List.concat_map
+      (fun (pack, l) ->
+        let idxs = Array.of_list (List.rev !l) in
+        let n = Array.length idxs in
+        let k = min domains n in
+        List.init k (fun c ->
+            let lo = c * n / k and hi = (c + 1) * n / k in
+            (pack, Array.sub idxs lo (hi - lo))))
+      (List.rev !groups)
+    |> Array.of_list
+  in
+  (* A chunk owns one workspace for its whole life and runs through it in
+     tiles of at most [max_batch] items. *)
+  let run (pack, idxs) =
+    let m = Array.length idxs in
+    let width = min max_batch m in
+    let obj = create ~batch:width model pack in
+    Array.concat
+      (List.init ((m + width - 1) / width) (fun k ->
+           let off = k * width in
+           f obj (Array.init (min width (m - off)) (fun l -> items.(idxs.(off + l))))))
+  in
+  let per_chunk =
+    match runtime with
+    | Some rt -> Runtime.parallel_map rt run chunks
+    | None -> Array.map run chunks
+  in
+  (* Scatter back by original index: the result order never depends on
+     the tiling. *)
+  let out = Array.make (Array.length items) None in
+  Array.iteri
+    (fun c results ->
+      let _, idxs = chunks.(c) in
+      Array.iteri (fun l i -> out.(i) <- Some results.(l)) idxs)
+    per_chunk;
+  Array.map Option.get out
+
+let predict_all ?runtime model point_of items =
+  map_tiles ?runtime model
+    (fun item -> fst (point_of item))
+    items
+    (fun obj tile ->
+      let batch = Array.length tile in
+      let nv = Pack.num_vars obj.pack in
+      let ys = Array.make (batch * nv) 0.0 in
+      Array.iteri (fun l item -> Array.blit (snd (point_of item)) 0 ys (l * nv) nv) tile;
+      let scores = Array.make batch 0.0 in
+      predict_batch obj ~batch ys ~scores;
+      scores)

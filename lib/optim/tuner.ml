@@ -297,12 +297,12 @@ let random_round (cfg : Tuning_config.t) rng st ~already_measured =
   done;
   !out
 
-let run_engine_round cfg rng ?runtime ?batch engine model st =
+let run_engine_round cfg rng ?runtime engine model st =
   let already_measured key = Hashtbl.mem st.measured key in
   match engine with
   | Felix ->
     let cands, trace =
-      Gradient_tuner.search_round cfg rng ?runtime ?batch model st.packs
+      Gradient_tuner.search_round cfg rng ?runtime model st.packs
         ~already_measured
     in
     ( List.map (fun (c : Gradient_tuner.candidate) -> (c.pack, c.y)) cands,
@@ -311,7 +311,7 @@ let run_engine_round cfg rng ?runtime ?batch engine model st =
   | Ansor ->
     let elites = List.map (fun (p, y, _) -> (p, y)) st.elites in
     let cands, trace =
-      Evolutionary.search_round cfg rng ?runtime ?batch model st.packs ~elites
+      Evolutionary.search_round cfg rng ?runtime model st.packs ~elites
         ~already_measured
     in
     ( List.map (fun (c : Evolutionary.individual) -> (c.pack, c.y)) cands,
@@ -321,7 +321,7 @@ let run_engine_round cfg rng ?runtime ?batch engine model st =
 
 let subgraph_name st = st.t.Partition.subgraph.Compute.sg_name
 
-let tune_round cfg measurer rng ?runtime ?batch ?journal device engine model model_adam
+let tune_round cfg measurer rng ?runtime ?journal device engine model model_adam
     clock ~telemetry ~emit ~round st =
   let task_id = st.t.Partition.task_id in
   emit
@@ -337,7 +337,7 @@ let tune_round cfg measurer rng ?runtime ?batch ?journal device engine model mod
           ("sim_clock_s", Telemetry.Float (Tuning_config.Clock.now clock)) ]
   in
   let candidates, predictions, overhead =
-    run_engine_round cfg rng ?runtime ?batch engine model st
+    run_engine_round cfg rng ?runtime engine model st
   in
   let before = st.best in
   let n_measured, cost, pairs =
@@ -413,8 +413,8 @@ let jbits_arr j k =
 let task_key_of st = String.sub st.key_prefix 0 (String.length st.key_prefix - 1)
 let sketch_name pack = (Pack.schedule pack).Schedule.sched_name
 
-(* jobs and batch are deliberately not part of the identity: results are
-   invariant to both, so a run may be resumed at any parallelism. The
+(* jobs is deliberately not part of the identity: results are invariant
+   to it, so a run may be resumed at any parallelism. The
    measurement policy *is* identity (faults change results), but is
    emitted only when non-default so pre-measurer checkpoints keep
    matching. The search codec lives in Tuning_config and is shared with
@@ -666,10 +666,6 @@ let with_effective_runtime (rc : Tuning_config.run) f =
       Runtime.with_runtime ~domains:rc.Tuning_config.jobs (fun rt -> f (Some rt))
     else f None
 
-(* rc.batch = 1 means the scalar path; only widths > 1 reach the engines. *)
-let batch_of_run (rc : Tuning_config.run) =
-  if rc.Tuning_config.batch > 1 then Some rc.Tuning_config.batch else None
-
 (* --- typed failure reporting ------------------------------------------------
 
    The public entry points validate the configuration up front and map the
@@ -711,8 +707,7 @@ let validate (rc : Tuning_config.run) =
         "model_update_seconds must be finite and >= 0" );
       (cfg.max_rounds >= 0, "max_rounds must be >= 0");
       (pos_finite cfg.time_budget_s, "time_budget_s must be finite and > 0");
-      (rc.Tuning_config.jobs >= 1, "jobs must be >= 1");
-      (rc.Tuning_config.batch >= 1, "batch must be >= 1") ]
+      (rc.Tuning_config.jobs >= 1, "jobs must be >= 1") ]
     @ (match Measure.validate rc.Tuning_config.measure with
       | Ok () -> []
       | Error m -> [ (false, m) ])
@@ -729,7 +724,6 @@ let reporting f =
 
 let run_raw (rc : Tuning_config.run) device base_model graph engine =
   with_effective_runtime rc @@ fun runtime ->
-  let batch = batch_of_run rc in
   let cfg = rc.Tuning_config.search in
   let on_event = rc.Tuning_config.on_event in
   let telemetry = Option.value rc.Tuning_config.telemetry ~default:Telemetry.global in
@@ -876,7 +870,7 @@ let run_raw (rc : Tuning_config.run) device base_model graph engine =
     incr round;
     let st = select_task states in
     ignore
-      (tune_round cfg measurer rng ?runtime ?batch ?journal device engine model
+      (tune_round cfg measurer rng ?runtime ?journal device engine model
          model_adam clock ~telemetry ~emit:on_event ~round:!round st);
     let net_ms = network_latency states in
     Telemetry.Gauge.set (Telemetry.gauge telemetry "tuner.network_latency_ms") net_ms;
@@ -939,7 +933,6 @@ type single_result = {
 
 let run_single_raw (rc : Tuning_config.run) ~rounds device base_model sg engine =
   with_effective_runtime rc @@ fun runtime ->
-  let batch = batch_of_run rc in
   let cfg = rc.Tuning_config.search in
   let on_event = rc.Tuning_config.on_event in
   let telemetry = Option.value rc.Tuning_config.telemetry ~default:Telemetry.global in
@@ -963,7 +956,7 @@ let run_single_raw (rc : Tuning_config.run) ~rounds device base_model sg engine 
   let predictions = ref [] in
   for round = 1 to rounds do
     let preds =
-      tune_round cfg measurer rng ?runtime ?batch device engine model model_adam clock
+      tune_round cfg measurer rng ?runtime device engine model model_adam clock
         ~telemetry ~emit:on_event ~round st
     in
     predictions := !predictions @ preds;

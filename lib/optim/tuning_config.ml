@@ -105,7 +105,6 @@ type run = {
   search : t;
   seed : int;
   jobs : int;
-  batch : int;
   measure : Measure.config;
   runtime : Runtime.t option;
   on_event : event -> unit;
@@ -114,15 +113,8 @@ type run = {
   pack_cache : string option;
 }
 
-(* FELIX_BATCH seeds the builder's descent batch width, mirroring how the
-   CLI reads FELIX_JOBS: unset, empty or unparsable means 1 (scalar). *)
-let batch_from_env () =
-  match Sys.getenv_opt "FELIX_BATCH" with
-  | None -> 1
-  | Some s -> ( try max 1 (int_of_string (String.trim s)) with _ -> 1)
-
 let builder =
-  { search = default; seed = 0; jobs = 1; batch = batch_from_env ();
+  { search = default; seed = 0; jobs = 1;
     measure = Measure.default; runtime = None; on_event = no_event;
     telemetry = None; store = None; pack_cache = None }
 
@@ -135,7 +127,6 @@ let with_measure_per_round n r =
 
 let with_seed seed r = { r with seed }
 let with_jobs jobs r = { r with jobs = max 1 jobs }
-let with_batch batch r = { r with batch = max 1 batch }
 let with_measurer measure r = { r with measure }
 let with_runtime rt r = { r with runtime = Some rt }
 let with_on_event on_event r = { r with on_event }
@@ -201,8 +192,7 @@ let to_json (r : run) =
   Json.Obj
     ([ ("search", search_to_json r.search);
        ("seed", Json.Num (float_of_int r.seed));
-       ("jobs", Json.Num (float_of_int r.jobs));
-       ("batch", Json.Num (float_of_int r.batch)) ]
+       ("jobs", Json.Num (float_of_int r.jobs)) ]
     (* Emitted only when non-default, so run.json, job specs and checkpoint
        identities written by a default (fault-free) run keep the exact
        pre-measurer byte format. *)
@@ -211,7 +201,9 @@ let to_json (r : run) =
 
 (* The process-local fields (runtime, callback, telemetry, store) have no
    serialised form; a decoded run carries the builder defaults for them and
-   the front end re-attaches what it needs. *)
+   the front end re-attaches what it needs. Records written by older
+   builds also carry a "batch" field (a descent tile width that no longer
+   exists); unknown fields are ignored, so they still decode. *)
 let of_json j =
   match Json.find j "search" with
   | None -> Error "run config: missing field \"search\""
@@ -222,7 +214,6 @@ let of_json j =
       (try
          let seed = int_field j "seed" in
          let jobs = int_field j "jobs" in
-         let batch = int_field j "batch" in
          let measure =
            match Json.find j "measure" with
            | None -> Ok Measure.default
@@ -233,5 +224,5 @@ let of_json j =
          | Ok measure ->
            Ok
              (builder |> with_search search |> with_seed seed |> with_jobs jobs
-             |> with_batch batch |> with_measurer measure)
+             |> with_measurer measure)
        with Codec k -> Error (Printf.sprintf "run config: missing or malformed field %S" k)))

@@ -135,12 +135,6 @@ type run = {
   jobs : int;
       (** domain parallelism; [> 1] without an explicit [runtime] makes the
           tuner create (and shut down) a runtime of that many domains *)
-  batch : int;
-      (** lockstep descent batch width; [> 1] routes gradient descents and
-          population scoring through the structure-of-arrays kernels in
-          tiles of this many candidates. Results are bitwise-identical to
-          the scalar path at any width (and any [jobs]); this knob trades
-          nothing but memory for speed. *)
   measure : Measure.config;
       (** measurement policy: per-request deadline, retry/backoff and
           optional deterministic fault injection (see [lib/measure]). The
@@ -166,9 +160,7 @@ type run = {
 }
 
 val builder : run
-(** Starting point: [default] search, seed 0, sequential, no observers.
-    The initial [batch] honours the [FELIX_BATCH] environment variable
-    (default 1 = scalar). *)
+(** Starting point: [default] search, seed 0, sequential, no observers. *)
 
 val with_search : t -> run -> run
 val with_rounds : int -> run -> run
@@ -184,9 +176,6 @@ val with_measure_per_round : int -> run -> run
 val with_seed : int -> run -> run
 val with_jobs : int -> run -> run
 (** Clamped to [>= 1]. *)
-
-val with_batch : int -> run -> run
-(** Lockstep descent batch width; clamped to [>= 1] (1 = scalar path). *)
 
 val with_measurer : Measure.config -> run -> run
 (** Measurement policy (deadline, retries, chaos); validated by
@@ -214,8 +203,10 @@ val with_pack_cache : string -> run -> run
     service's wire protocol and the tuner's checkpoint identity. Floats
     are encoded as IEEE-754 bit strings ([Store.Bits]), so
     [of_json (to_json r)] reconstructs [search], [seed], [jobs] and
-    [batch] bit-identically — which is what lets a resumed or
-    re-submitted run match its checkpoint identity exactly.
+    [measure] bit-identically — which is what lets a resumed or
+    re-submitted run match its checkpoint identity exactly. [of_json]
+    ignores fields it does not know, such as the ["batch"] descent width
+    that records written by older builds carry.
 
     The process-local fields ([runtime], [on_event], [telemetry],
     [store]) have no serialised form: [to_json] omits them and [of_json]

@@ -169,34 +169,6 @@ let test_evaluate_empty () =
   let metrics = Train.evaluate m [||] in
   Alcotest.(check int) "no samples" 0 metrics.Train.n_samples
 
-let test_mlp_workspace_bitwise () =
-  let rng = Rng.create 7 in
-  (* Widths that are not multiples of 4 exercise both the blocked and the
-     remainder paths of the workspace kernels. *)
-  let model = Mlp.create rng ~hidden:[ 13; 9; 6 ] ~n_inputs:11 () in
-  Mlp.set_normalizer model
-    ~mean:(Array.init 11 (fun _ -> Rng.gaussian rng))
-    ~std:(Array.init 11 (fun _ -> 0.5 +. Float.abs (Rng.gaussian rng)));
-  let ws = Mlp.workspace model in
-  let bits = Int64.bits_of_float in
-  for trial = 1 to 25 do
-    let x = Array.init 11 (fun _ -> 3.0 *. Rng.gaussian rng) in
-    let s1 = Mlp.forward model x in
-    let s2 = Mlp.forward_into model ws x in
-    if not (Int64.equal (bits s1) (bits s2)) then
-      Alcotest.failf "trial %d: forward_into diverged (%h vs %h)" trial s1 s2;
-    let s3, g = Mlp.input_gradient model x in
-    let g' = Array.make 11 0.0 in
-    let s4 = Mlp.input_gradient_into model ws x g' in
-    if not (Int64.equal (bits s3) (bits s4)) then
-      Alcotest.failf "trial %d: input_gradient_into score diverged" trial;
-    Array.iteri
-      (fun i gi ->
-        if not (Int64.equal (bits gi) (bits g'.(i))) then
-          Alcotest.failf "trial %d: gradient diverged at %d (%h vs %h)" trial i gi g'.(i))
-      g
-  done
-
 (* --- batched (structure-of-arrays) kernels -------------------------------- *)
 
 let bits = Int64.bits_of_float
@@ -226,7 +198,6 @@ let batch_test_model rng =
 let test_mlp_batch_bitwise () =
   let rng = Rng.create 77 in
   let model = batch_test_model rng in
-  let ws = Mlp.workspace model in
   let ni = 11 in
   on_both_kernel_sets (fun kset ->
       List.iter
@@ -237,7 +208,7 @@ let test_mlp_batch_bitwise () =
           Mlp.forward_batch_into model bws ~batch xs ~scores;
           for l = 0 to batch - 1 do
             let x = Array.sub xs (l * ni) ni in
-            let s = Mlp.forward_into model ws x in
+            let s = Mlp.forward model x in
             if not (Int64.equal (bits s) (bits scores.(l))) then
               Alcotest.failf "%s batch %d lane %d: forward diverged (%h vs %h)" kset
                 batch l s scores.(l)
@@ -246,8 +217,7 @@ let test_mlp_batch_bitwise () =
           Mlp.input_gradient_batch_into model bws ~batch xs ~grads ~scores;
           for l = 0 to batch - 1 do
             let x = Array.sub xs (l * ni) ni in
-            let g = Array.make ni 0.0 in
-            let s = Mlp.input_gradient_into model ws x g in
+            let s, g = Mlp.input_gradient model x in
             if not (Int64.equal (bits s) (bits scores.(l))) then
               Alcotest.failf "%s batch %d lane %d: batched score diverged" kset batch l;
             if not (bits_eq g (Array.sub grads (l * ni) ni)) then
@@ -255,6 +225,32 @@ let test_mlp_batch_bitwise () =
                 batch l
           done)
         [ 1; 2; 7; 32; 128 ])
+
+let test_mlp_workspace_bitwise () =
+  (* One workspace reused across calls at widths up to its capacity, on
+     both kernel sets: no sweep may see a previous one's leftovers. *)
+  let rng = Rng.create 7 in
+  let model = batch_test_model rng in
+  let ni = 11 in
+  on_both_kernel_sets (fun kset ->
+      let bws = Mlp.batch_workspace model ~batch:8 in
+      List.iter
+        (fun batch ->
+          let xs = Array.init (batch * ni) (fun _ -> 3.0 *. Rng.gaussian rng) in
+          let scores = Array.make batch nan in
+          let grads = Array.make (batch * ni) nan in
+          let fwd = Array.make batch nan in
+          Mlp.forward_batch_into model bws ~batch xs ~scores:fwd;
+          Mlp.input_gradient_batch_into model bws ~batch xs ~grads ~scores;
+          for l = 0 to batch - 1 do
+            let s, g = Mlp.input_gradient model (Array.sub xs (l * ni) ni) in
+            let same x = Int64.equal (bits s) (bits x) in
+            if not (same fwd.(l) && same scores.(l)) then
+              Alcotest.failf "%s width %d lane %d: score diverged" kset batch l;
+            if not (bits_eq g (Array.sub grads (l * ni) ni)) then
+              Alcotest.failf "%s width %d lane %d: gradient diverged" kset batch l
+          done)
+        [ 8; 3; 1; 8; 5 ])
 
 (* A copy of [model] whose hidden neuron [o] of [layer] is dead (zero
    weights, bias -1): its ReLU is off on every lane, so the whole output's
@@ -403,12 +399,15 @@ let test_mlp_workspace_mismatch () =
   let rng = Rng.create 8 in
   let m1 = Mlp.create rng ~hidden:[ 4 ] ~n_inputs:3 () in
   let m2 = Mlp.create rng ~hidden:[ 5 ] ~n_inputs:3 () in
-  let ws = Mlp.workspace m1 in
-  Alcotest.(check bool) "workspace shape checked" true
-    (try
-       ignore (Mlp.forward_into m2 ws [| 0.1; 0.2; 0.3 |]);
-       false
-     with Invalid_argument _ -> true)
+  let bws = Mlp.batch_workspace m1 ~batch:2 in
+  let xs = [| 0.1; 0.2; 0.3; 0.4; 0.5; 0.6 |] in
+  let raises f = try f (); false with Invalid_argument _ -> true in
+  Alcotest.(check bool) "forward: workspace shape checked" true
+    (raises (fun () -> Mlp.forward_batch_into m2 bws ~batch:2 xs ~scores:(Array.make 2 0.0)));
+  Alcotest.(check bool) "input gradient: workspace shape checked" true
+    (raises (fun () ->
+         Mlp.input_gradient_batch_into m2 bws ~batch:2 xs ~grads:(Array.make 6 0.0)
+           ~scores:(Array.make 2 0.0)))
 
 let tests =
   [ Alcotest.test_case "adam minimises a quadratic" `Quick test_adam_minimises_quadratic;

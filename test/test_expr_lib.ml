@@ -337,59 +337,6 @@ let test_tape_optimize_exact =
       && report.Autodiff.Tape.slots_post = Autodiff.Tape.length opt
       && bits_eq o1 o2 && bits_eq g1 g2)
 
-let test_tape_workspace_reuse =
-  qtest ~count:200 "workspace reuse and vjp_with are bit-identical to vjp"
-    QCheck2.Gen.(pair gen_expr gen_env)
-    (fun (expr, env) ->
-      let tape = Autodiff.Tape.compile ~inputs:expr_vars [ expr ] in
-      let xs = Array.of_list (List.map (fun v -> List.assoc v env) expr_vars) in
-      let outs, grad = Autodiff.Tape.vjp tape xs [| 2.5 |] in
-      (* Same workspace reused twice: the second call must not see the
-         first one's leftovers. *)
-      let ws = Autodiff.Tape.workspace tape in
-      let g1 = Array.make 3 0.0 and g2 = Array.make 3 0.0 in
-      let o1 = Array.copy (Autodiff.Tape.eval_vjp_into tape ws xs [| 2.5 |] g1) in
-      let o2 = Array.copy (Autodiff.Tape.eval_vjp_into tape ws xs [| 2.5 |] g2) in
-      (* vjp_with computes the adjoint from the forward outputs. *)
-      let o3, g3 = Autodiff.Tape.vjp_with tape xs (fun _ -> [| 2.5 |]) in
-      bits_eq o1 outs && bits_eq o2 outs && bits_eq o3 outs
-      && bits_eq g1 grad && bits_eq g2 grad && bits_eq g3 grad)
-
-let test_tape_batch_bitwise =
-  qtest ~count:60 "batched tape sweeps are bitwise the scalar kernels"
-    QCheck2.Gen.(triple gen_expr gen_env (int_range 1 128))
-    (fun (expr, env, batch) ->
-      let tape =
-        Autodiff.Tape.compile ~inputs:expr_vars [ expr; Smooth.smooth expr ]
-      in
-      let n_in = 3 and n_out = 2 in
-      let base = Array.of_list (List.map (fun v -> List.assoc v env) expr_vars) in
-      (* Distinct per-lane inputs and adjoints, derived deterministically. *)
-      let xs =
-        Array.init (batch * n_in) (fun j ->
-            base.(j mod n_in) *. (1.0 +. (0.125 *. float_of_int (j / n_in mod 7))))
-      in
-      let adj = Array.init (batch * n_out) (fun j -> sin (float_of_int j)) in
-      let bws = Autodiff.Tape.batch_workspace tape ~batch in
-      let outs =
-        Array.sub (Autodiff.Tape.forward_batch_into tape bws ~batch xs) 0 (batch * n_out)
-      in
-      let grads = Array.make (batch * n_in) 0.0 in
-      Autodiff.Tape.backward_batch_into tape bws ~batch adj grads;
-      let ws = Autodiff.Tape.workspace tape in
-      let ok = ref true in
-      for l = 0 to batch - 1 do
-        let x = Array.sub xs (l * n_in) n_in in
-        let a = Array.sub adj (l * n_out) n_out in
-        let g = Array.make n_in 0.0 in
-        let o = Autodiff.Tape.eval_vjp_into tape ws x a g in
-        ok :=
-          !ok
-          && bits_eq o (Array.sub outs (l * n_out) n_out)
-          && bits_eq g (Array.sub grads (l * n_in) n_in)
-      done;
-      !ok)
-
 (* --- compiled superop plans ------------------------------------------------- *)
 
 (* Richer generator than [gen_expr]: the full operator set with no numeric
@@ -412,23 +359,69 @@ let gen_expr_full : Expr.t QCheck2.Gen.t =
             map3 (fun c a b -> Expr.select (Expr.ge c Expr.zero) a b) sub sub sub ]
       end)
 
-(* Comparison contract of the compiled plans: the portable OCaml kernels
-   are held to strict full-bit equality (NaN payloads included); under the
-   C kernels two NaNs compare equal regardless of bits, because GCC may
-   legally commute a product of two NaNs (IEEE leaves NaN sign/payload
-   unspecified) — and a NaN's sign can never propagate into a non-NaN
-   value in this operator set, so everything else is exact bits there
-   too. *)
-let plan_eq ~strict x y =
-  Int64.equal (bits x) (bits y)
-  || ((not strict) && Float.is_nan x && Float.is_nan y)
+(* Comparison contract of the compiled plans against the scalar
+   interpreter: exact bits, except that two NaNs compare equal regardless
+   of bits. A compiler may legally commute an operation on two NaNs (IEEE
+   leaves the NaN sign and payload unspecified) — GCC in the C kernels,
+   ocamlopt in the portable OCaml kernels and in the interpreter — and a
+   NaN's sign can never propagate into a non-NaN value in this operator
+   set, so everything else is exact bits on both kernel sets. *)
+let plan_eq x y = Int64.equal (bits x) (bits y) || (Float.is_nan x && Float.is_nan y)
 
-let plan_eq_prefix ~strict n a b =
+let plan_eq_prefix n a b =
   let ok = ref true in
   for i = 0 to n - 1 do
-    if not (plan_eq ~strict a.(i) b.(i)) then ok := false
+    if not (plan_eq a.(i) b.(i)) then ok := false
   done;
   !ok
+
+(* The reference for every batched sweep: {!Autodiff.Tape.vjp} on each
+   lane alone, concatenated into lane-major output and gradient rows. *)
+let vjp_lanes tape ~batch ~n_in ~n_out xs adj =
+  let outs = Array.make (batch * n_out) 0.0 and grads = Array.make (batch * n_in) 0.0 in
+  for l = 0 to batch - 1 do
+    let o, g =
+      Autodiff.Tape.vjp tape (Array.sub xs (l * n_in) n_in) (Array.sub adj (l * n_out) n_out)
+    in
+    Array.blit o 0 outs (l * n_out) n_out;
+    Array.blit g 0 grads (l * n_in) n_in
+  done;
+  (outs, grads)
+
+let test_tape_batch_bitwise =
+  qtest ~count:60 "batched tape sweeps are bitwise the scalar kernels"
+    QCheck2.Gen.(triple gen_expr gen_env (int_range 1 128))
+    (fun (expr, env, batch) ->
+      let tape =
+        Autodiff.Tape.compile ~inputs:expr_vars [ expr; Smooth.smooth expr ]
+      in
+      let plan = Autodiff.Tape.compile_plan tape in
+      let n_in = 3 and n_out = 2 in
+      let base = Array.of_list (List.map (fun v -> List.assoc v env) expr_vars) in
+      (* Distinct per-lane inputs and adjoints, derived deterministically. *)
+      let xs =
+        Array.init (batch * n_in) (fun j ->
+            base.(j mod n_in) *. (1.0 +. (0.125 *. float_of_int (j / n_in mod 7))))
+      in
+      let adj = Array.init (batch * n_out) (fun j -> sin (float_of_int j)) in
+      let outs, grads = vjp_lanes tape ~batch ~n_in ~n_out xs adj in
+      (* The same workspace swept twice: the second sweep must not see the
+         first one's leftovers. *)
+      let pws = Autodiff.Tape.plan_batch_workspace plan ~batch in
+      let sweep () =
+        let o =
+          Array.sub (Autodiff.Tape.plan_forward_batch_into plan pws ~batch xs) 0 (batch * n_out)
+        in
+        let g = Array.make (batch * n_in) nan in
+        Autodiff.Tape.plan_backward_batch_into plan pws ~batch adj g;
+        (o, g)
+      in
+      let o1, g1 = sweep () in
+      let o2, g2 = sweep () in
+      plan_eq_prefix (batch * n_out) o1 outs
+      && plan_eq_prefix (batch * n_in) g1 grads
+      && plan_eq_prefix (batch * n_out) o2 outs
+      && plan_eq_prefix (batch * n_in) g2 grads)
 
 let test_plan_bitwise_random =
   qtest ~count:40 "compiled plan = interpreter (both kernel sets, B=1..128)"
@@ -463,15 +456,9 @@ let test_plan_bitwise_random =
                    | 1 -> -0.0
                    | _ -> Random.State.float rng 4.0 -. 2.0)
              in
-             let bws = Autodiff.Tape.batch_workspace tape ~batch in
-             let outs =
-               Array.copy (Autodiff.Tape.forward_batch_into tape bws ~batch xs)
-             in
-             let grads = Array.make (batch * n_in) nan in
-             Autodiff.Tape.backward_batch_into tape bws ~batch adj grads;
+             let outs, grads = vjp_lanes tape ~batch ~n_in ~n_out xs adj in
              List.for_all
                (fun vec ->
-                 let strict = not vec in
                  Autodiff.Tape.set_vector_kernels vec;
                  let pws = Autodiff.Tape.plan_batch_workspace plan ~batch in
                  let pouts =
@@ -479,8 +466,8 @@ let test_plan_bitwise_random =
                  in
                  let pgrads = Array.make (batch * n_in) nan in
                  Autodiff.Tape.plan_backward_batch_into plan pws ~batch adj pgrads;
-                 plan_eq_prefix ~strict (batch * n_out) pouts outs
-                 && plan_eq_prefix ~strict (batch * n_in) pgrads grads)
+                 plan_eq_prefix (batch * n_out) pouts outs
+                 && plan_eq_prefix (batch * n_in) pgrads grads)
                [ true; false ])
            [ 1; 3; 8; 32; 128 ])
 
@@ -514,10 +501,7 @@ let test_plan_zero_adjoint_guard () =
        2.0; 0.0; -0.0;
        0.0; 0.0; 0.0 |]
   in
-  let bws = Autodiff.Tape.batch_workspace tape ~batch in
-  ignore (Autodiff.Tape.forward_batch_into tape bws ~batch xs);
-  let grads = Array.make (batch * 3) nan in
-  Autodiff.Tape.backward_batch_into tape bws ~batch adj grads;
+  let _, grads = vjp_lanes tape ~batch ~n_in:3 ~n_out:3 xs adj in
   let was = Autodiff.Tape.using_vector_kernels () in
   Fun.protect ~finally:(fun () -> Autodiff.Tape.set_vector_kernels was)
   @@ fun () ->
@@ -532,7 +516,7 @@ let test_plan_zero_adjoint_guard () =
       Alcotest.(check bool)
         (label ^ ": grads bitwise-equal interpreter")
         true
-        (plan_eq_prefix ~strict:true (batch * 3) pgrads grads);
+        (bits_eq pgrads grads);
       (* Pin the skip itself: every zero-adjoint lane extracts exactly
          +0.0, regardless of the poison in its value planes. *)
       List.iter
@@ -656,7 +640,6 @@ let tests =
     test_hashcons_equal_ids;
     Alcotest.test_case "expression memo table" `Quick test_expr_memo;
     test_tape_optimize_exact;
-    test_tape_workspace_reuse;
     test_tape_batch_bitwise;
     test_plan_bitwise_random;
     Alcotest.test_case "compiled backward keeps the zero-adjoint skip" `Quick

@@ -202,126 +202,81 @@ let test_pack_unoptimized_tapes_bitwise () =
       done)
     (Sketch.generate sg)
 
-let test_pack_workspace_bitwise () =
-  (* The fused workspace sweeps must match the allocating entry points
-     bitwise, including across reuse of the same workspace. *)
-  let rng = Rng.create 37 in
-  let sg = conv_sg () in
-  let pack = Pack.prepare sg (List.nth (Sketch.generate sg) 1) in
-  let ws = Pack.workspace pack in
-  let n = Pack.num_vars pack in
-  let bits_eq a b =
-    Array.for_all2
-      (fun x y -> Int64.equal (Int64.bits_of_float x) (Int64.bits_of_float y))
-      a b
-  in
-  for _ = 1 to 8 do
-    let y = sample_valid rng pack in
-    let feats = Pack.features_at pack y in
-    Alcotest.(check bool) "forward bitwise" true
-      (bits_eq feats (Pack.features_forward pack ws y));
-    let adj = Array.init 82 (fun i -> sin (float_of_int i)) in
-    let _, dy = Pack.features_vjp pack y adj in
-    let dy' = Array.make n 0.0 in
-    (* backward against the retained forward values *)
-    ignore (Pack.features_forward pack ws y);
-    Pack.features_backward pack ws adj dy';
-    Alcotest.(check bool) "backward bitwise" true (bits_eq dy dy');
-    let v, pg = Pack.penalty_value_grad pack y in
-    let pg' = Array.make n 0.0 in
-    let v' = Pack.penalty_value_grad_into pack ws y pg' in
-    Alcotest.(check bool) "penalty value bitwise" true
-      (Int64.equal (Int64.bits_of_float v) (Int64.bits_of_float v'));
-    Alcotest.(check bool) "penalty grad bitwise" true (bits_eq pg pg')
-  done
-
-let test_pack_batch_bitwise () =
-  (* The structure-of-arrays sweeps must reproduce the scalar workspace
-     kernels bitwise on every lane, at any batch size. *)
-  let rng = Rng.create 41 in
-  let sg = conv_sg () in
-  let pack = Pack.prepare sg (List.nth (Sketch.generate sg) 1) in
-  let ws = Pack.workspace pack in
+(* Lane [l] of a batch sweep against the scalar interpreter on point
+   [y] alone: features, feature gradient for adjoint row [adj], penalty
+   value and gradient. *)
+let check_lane ~label pack y ~adj ~feats ~grads ~pgrads ~pvals l =
   let n = Pack.num_vars pack in
   let bits = Int64.bits_of_float in
   let bits_eq a b = Array.for_all2 (fun x y -> Int64.equal (bits x) (bits y)) a b in
-  List.iter
-    (fun batch ->
-      let bws = Pack.batch_workspace pack ~batch in
-      let points = Array.init batch (fun _ -> sample_valid rng pack) in
-      let ys = Array.make (batch * n) 0.0 in
-      Array.iteri (fun l y -> Array.blit y 0 ys (l * n) n) points;
-      let feats =
-        Array.sub (Pack.features_forward_batch pack bws ~batch ys) 0 (batch * 82)
-      in
-      let adj = Array.init (batch * 82) (fun j -> sin (float_of_int j)) in
-      let grads = Array.make (batch * n) 0.0 in
-      Pack.features_backward_batch pack bws ~batch adj grads;
-      let pgrads = Array.make (batch * n) 0.0 in
-      let pvals = Array.make batch 0.0 in
-      Pack.penalty_value_grad_batch_into pack bws ~batch ys ~grads:pgrads ~values:pvals;
-      Array.iteri
-        (fun l y ->
-          Alcotest.(check bool) "features bitwise" true
-            (bits_eq (Pack.features_forward pack ws y) (Array.sub feats (l * 82) 82));
-          let dy = Array.make n 0.0 in
-          Pack.features_backward pack ws (Array.sub adj (l * 82) 82) dy;
-          Alcotest.(check bool) "backward bitwise" true
-            (bits_eq dy (Array.sub grads (l * n) n));
-          let pg = Array.make n 0.0 in
-          let v = Pack.penalty_value_grad_into pack ws y pg in
-          Alcotest.(check bool) "penalty value bitwise" true
-            (Int64.equal (bits v) (bits pvals.(l)));
-          Alcotest.(check bool) "penalty grad bitwise" true
-            (bits_eq pg (Array.sub pgrads (l * n) n)))
-        points)
-    [ 1; 4; 13 ]
+  let check what ok =
+    Alcotest.(check bool) (Printf.sprintf "%s lane %d: %s" label l what) true ok
+  in
+  check "features" (bits_eq (Pack.features_at pack y) (Array.sub feats (l * 82) 82));
+  let _, dy = Pack.features_vjp pack y (Array.sub adj (l * 82) 82) in
+  check "feature gradient" (bits_eq dy (Array.sub grads (l * n) n));
+  let v, pg = Pack.penalty_value_grad pack y in
+  check "penalty value" (Int64.equal (bits v) (bits pvals.(l)));
+  check "penalty gradient" (bits_eq pg (Array.sub pgrads (l * n) n))
 
-let test_pack_plan_toggle_bitwise () =
-  (* Compiled-plan and interpreted batch workspaces must be bitwise
-     interchangeable on the same pack, at any batch size — the execution
-     strategy is unobservable in results. *)
-  let rng = Rng.create 43 in
+(* One batch sweep of [points] through [bws]; returns copies of the
+   feature matrix, feature gradients, penalty gradients and values. *)
+let batch_sweep pack bws points adj =
+  let n = Pack.num_vars pack in
+  let batch = Array.length points in
+  let ys = Array.make (batch * n) 0.0 in
+  Array.iteri (fun l y -> Array.blit y 0 ys (l * n) n) points;
+  let feats = Array.sub (Pack.features_forward_batch pack bws ~batch ys) 0 (batch * 82) in
+  let grads = Array.make (batch * n) nan in
+  Pack.features_backward_batch pack bws ~batch adj grads;
+  let pgrads = Array.make (batch * n) nan in
+  let pvals = Array.make batch nan in
+  Pack.penalty_value_grad_batch_into pack bws ~batch ys ~grads:pgrads ~values:pvals;
+  (feats, grads, pgrads, pvals)
+
+let test_pack_workspace_bitwise () =
+  (* One workspace reused across calls at widths up to its capacity: no
+     sweep may see a previous one's leftovers. *)
+  let rng = Rng.create 37 in
   let sg = conv_sg () in
   let pack = Pack.prepare sg (List.nth (Sketch.generate sg) 1) in
-  let n = Pack.num_vars pack in
-  let bits_eq a b =
-    Array.for_all2
-      (fun x y -> Int64.equal (Int64.bits_of_float x) (Int64.bits_of_float y))
-      a b
-  in
-  let was = Pack.using_plan_execution () in
-  Fun.protect ~finally:(fun () -> Pack.set_plan_execution was)
-  @@ fun () ->
+  let bws = Pack.batch_workspace pack ~batch:8 in
   List.iter
     (fun batch ->
       let points = Array.init batch (fun _ -> sample_valid rng pack) in
-      let ys = Array.make (batch * n) 0.0 in
-      Array.iteri (fun l y -> Array.blit y 0 ys (l * n) n) points;
-      let adj = Array.init (batch * 82) (fun j -> cos (float_of_int j)) in
-      let sweep planned =
-        Pack.set_plan_execution planned;
-        let bws = Pack.batch_workspace pack ~batch in
-        Alcotest.(check bool) "strategy honoured" planned
-          (Pack.batch_workspace_planned bws);
-        let feats =
-          Array.sub (Pack.features_forward_batch pack bws ~batch ys) 0 (batch * 82)
-        in
-        let grads = Array.make (batch * n) 0.0 in
-        Pack.features_backward_batch pack bws ~batch adj grads;
-        let pgrads = Array.make (batch * n) 0.0 in
-        let pvals = Array.make batch 0.0 in
-        Pack.penalty_value_grad_batch_into pack bws ~batch ys ~grads:pgrads
-          ~values:pvals;
-        (feats, grads, pgrads, pvals)
-      in
-      let f1, g1, pg1, pv1 = sweep true in
-      let f2, g2, pg2, pv2 = sweep false in
-      Alcotest.(check bool) "features bitwise" true (bits_eq f1 f2);
-      Alcotest.(check bool) "feature grads bitwise" true (bits_eq g1 g2);
-      Alcotest.(check bool) "penalty grads bitwise" true (bits_eq pg1 pg2);
-      Alcotest.(check bool) "penalty values bitwise" true (bits_eq pv1 pv2))
-    [ 1; 5; 32 ]
+      let adj = Array.init (batch * 82) (fun j -> sin (float_of_int (j + batch))) in
+      let feats, grads, pgrads, pvals = batch_sweep pack bws points adj in
+      Array.iteri
+        (fun l y ->
+          check_lane ~label:(Printf.sprintf "width %d" batch) pack y ~adj ~feats ~grads
+            ~pgrads ~pvals l)
+        points)
+    [ 8; 3; 1; 8; 5 ]
+
+let test_pack_batch_bitwise () =
+  (* The compiled-plan sweeps must reproduce the scalar interpreter
+     bitwise on every lane, at any batch size, on both kernel sets. *)
+  let rng = Rng.create 41 in
+  let sg = conv_sg () in
+  let pack = Pack.prepare sg (List.nth (Sketch.generate sg) 1) in
+  let was = Autodiff.Tape.using_vector_kernels () in
+  Fun.protect ~finally:(fun () -> Autodiff.Tape.set_vector_kernels was) @@ fun () ->
+  List.iter
+    (fun batch ->
+      let points = Array.init batch (fun _ -> sample_valid rng pack) in
+      let adj = Array.init (batch * 82) (fun j -> sin (float_of_int j)) in
+      List.iter
+        (fun vec ->
+          Autodiff.Tape.set_vector_kernels vec;
+          let feats, grads, pgrads, pvals =
+            batch_sweep pack (Pack.batch_workspace pack ~batch) points adj
+          in
+          let label = Printf.sprintf "%s B=%d" (if vec then "simd" else "portable") batch in
+          Array.iteri
+            (fun l y -> check_lane ~label pack y ~adj ~feats ~grads ~pgrads ~pvals l)
+            points)
+        [ true; false ])
+    [ 1; 4; 13; 32 ]
 
 let test_pack_cache_stats () =
   let get k stats = List.assoc k stats in
@@ -511,8 +466,6 @@ let tests =
     Alcotest.test_case "pack workspace sweeps bitwise-equal" `Quick test_pack_workspace_bitwise;
     Alcotest.test_case "pack batched sweeps bitwise-equal scalar" `Quick
       test_pack_batch_bitwise;
-    Alcotest.test_case "plan toggle is bitwise-unobservable" `Quick
-      test_pack_plan_toggle_bitwise;
     Alcotest.test_case "warm disk hit skips plan compilation" `Quick
       test_pack_disk_warm_skips_plan_compile;
     Alcotest.test_case "prepare_cached exposes LRU counters" `Quick test_pack_cache_stats;

@@ -38,14 +38,14 @@ let test_descend_reduces_objective () =
   let sched = List.nth (Sketch.generate sg) 1 in
   let pack = Pack.prepare sg sched in
   let improved = ref 0 in
-  for _ = 1 to 5 do
-    let y0 = sample_valid rng pack in
-    let cfg = { quick with Tuning_config.nsteps = 80 } in
-    let hist = Gradient_tuner.descend cfg rng model pack y0 in
-    let first = snd (List.hd hist) in
-    let best = List.fold_left (fun acc (_, o) -> min acc o) infinity hist in
-    if best < first then incr improved
-  done;
+  let cfg = { quick with Tuning_config.nsteps = 80 } in
+  let seeds = Array.init 5 (fun _ -> sample_valid rng pack) in
+  Array.iter
+    (fun hist ->
+      let first = snd (List.hd hist) in
+      let best = List.fold_left (fun acc (_, o) -> min acc o) infinity hist in
+      if best < first then incr improved)
+    (Gradient_tuner.descend_batch cfg model pack seeds);
   Alcotest.(check bool) "objective improves for most seeds" true (!improved >= 4)
 
 let test_search_round_respects_budget () =
@@ -224,177 +224,183 @@ let test_scheduler_prefers_heavy_tasks () =
   in
   Alcotest.(check bool) "heaviest task tuned" true (heaviest.rounds_spent >= 1)
 
-(* --- fused objective kernel -------------------------------------------------- *)
+(* --- batched objective kernel ---------------------------------------------- *)
 
 let bits_eq a b =
   Array.for_all2
     (fun x y -> Int64.equal (Int64.bits_of_float x) (Int64.bits_of_float y))
     a b
 
-let test_objective_fused_matches_legacy () =
-  let model = Lazy.force shared_model in
-  let rng = Rng.create 41 in
-  List.iter
-    (fun sg ->
-      List.iter
-        (fun sched ->
-          let pack = Pack.prepare sg sched in
-          let obj = Objective.create ~lambda:quick.Tuning_config.lambda model pack in
-          let grad = Array.make (Pack.num_vars pack) 0.0 in
-          for _ = 1 to 5 do
-            let y = sample_valid rng pack in
-            let o_legacy, g_legacy =
-              Objective.legacy_value_grad ~lambda:quick.Tuning_config.lambda model pack y
-            in
-            let o_fused = Objective.value_grad obj y ~grad in
-            if not (Int64.equal (Int64.bits_of_float o_legacy) (Int64.bits_of_float o_fused))
-            then Alcotest.failf "objective diverged: %h vs %h" o_legacy o_fused;
-            Alcotest.(check bool) "gradient bitwise" true (bits_eq g_legacy grad);
-            (* predict goes through the same pooled workspaces *)
-            let p_legacy = Mlp.forward model (Pack.features_at pack y) in
-            let p_fused = Objective.predict obj y in
-            Alcotest.(check bool) "predict bitwise" true
-              (Int64.equal (Int64.bits_of_float p_legacy) (Int64.bits_of_float p_fused))
-          done)
-        (Sketch.generate sg))
-    [ dense_sg (); conv_sg () ]
+let float_bits_eq x y = Int64.equal (Int64.bits_of_float x) (Int64.bits_of_float y)
+
+(* The scalar reference composition of Equation 4's objective and its
+   gradient: one point at a time through the interpreter oracles
+   (features_at, input_gradient, features_vjp, penalty_value_grad). Every
+   batched lane must reproduce it bit for bit. *)
+let reference_value_grad ~lambda model pack y =
+  let feats = Pack.features_at pack y in
+  let score, dscore_dfeat = Mlp.input_gradient model feats in
+  let adj = Array.map (fun d -> -.d) dscore_dfeat in
+  let _, dy_model = Pack.features_vjp pack y adj in
+  let pval, pgrad = Pack.penalty_value_grad pack y in
+  let obj = -.score +. (lambda *. pval) in
+  let grad = Array.mapi (fun i g -> g +. (lambda *. pgrad.(i))) dy_model in
+  (obj, grad)
+
+let lane_major n points =
+  let ys = Array.make (Array.length points * n) 0.0 in
+  Array.iteri (fun l y -> Array.blit y 0 ys (l * n) n) points;
+  ys
+
+(* One tile's value/gradient/prediction through [obj]. *)
+let eval_tile ~lambda obj points =
+  let pack = Objective.pack obj in
+  let batch = Array.length points and n = Pack.num_vars pack in
+  let ys = lane_major n points in
+  let grads = Array.make (batch * n) nan and objs = Array.make batch nan in
+  Objective.value_grad_batch obj ~lambda ~batch ys ~grads ~objs;
+  let scores = Array.make batch nan in
+  Objective.predict_batch obj ~batch ys ~scores;
+  Array.init batch (fun l -> (objs.(l), Array.sub grads (l * n) n, scores.(l)))
 
 let test_objective_parallel_bitwise () =
-  (* One shared Objective across 4 domains: the workspace pool hands each
-     concurrent caller a private workspace, so parallel evaluation is
-     bit-identical to the sequential map. *)
+  (* One model and pack shared by chunks on 4 domains, each chunk with its
+     own workspace: results equal the 1-domain run (one workspace reused
+     for two tiles of 32) and the reference. *)
   let model = Lazy.force shared_model in
   let rng = Rng.create 43 in
   let sg = dense_sg () in
   let pack = Pack.prepare sg (List.nth (Sketch.generate sg) 1) in
-  let obj = Objective.create ~lambda:10.0 model pack in
-  let n = Pack.num_vars pack in
   let points = Array.init 64 (fun _ -> sample_valid rng pack) in
-  let eval y =
-    let grad = Array.make n 0.0 in
-    let o = Objective.value_grad obj y ~grad in
-    (o, grad)
+  let run ?runtime () =
+    Objective.map_tiles ?runtime model (fun _ -> pack) points (eval_tile ~lambda:10.0)
   in
-  let seq = Array.map eval points in
+  let seq = run () in
   Runtime.with_runtime ~domains:4 (fun rt ->
-      let par = Runtime.parallel_map rt eval points in
+      let par = run ~runtime:rt () in
       Array.iteri
-        (fun i (o_s, g_s) ->
-          let o_p, g_p = par.(i) in
-          if not (Int64.equal (Int64.bits_of_float o_s) (Int64.bits_of_float o_p)) then
+        (fun i (o_s, g_s, p_s) ->
+          let o_p, g_p, p_p = par.(i) in
+          let o_r, g_r = reference_value_grad ~lambda:10.0 model pack points.(i) in
+          if not (float_bits_eq o_s o_p && float_bits_eq o_s o_r) then
             Alcotest.failf "point %d: parallel objective diverged" i;
-          Alcotest.(check bool) "parallel gradient bitwise" true (bits_eq g_s g_p))
+          if not (float_bits_eq p_s p_p) then
+            Alcotest.failf "point %d: parallel prediction diverged" i;
+          Alcotest.(check bool) "parallel gradient bitwise" true
+            (bits_eq g_s g_p && bits_eq g_s g_r))
         seq)
 
 let test_descend_matches_manual_legacy_loop () =
-  (* The reworked descend (fused objective, reused gradient buffer, step
-     telemetry) must retrace the historical Adam loop bit for bit. *)
+  (* Lockstep descent must retrace the manual Adam loop over the scalar
+     reference objective, lane for lane, bit for bit. *)
   let model = Lazy.force shared_model in
   let rng = Rng.create 47 in
   let sg = dense_sg () in
   let pack = Pack.prepare sg (List.nth (Sketch.generate sg) 1) in
   let cfg = { quick with Tuning_config.nsteps = 40 } in
-  let y0 = sample_valid rng pack in
-  let fused = Gradient_tuner.descend cfg rng model pack y0 in
-  let manual =
+  let lambda = cfg.Tuning_config.lambda in
+  let seeds = Array.init 3 (fun _ -> sample_valid rng pack) in
+  let manual y0 =
     let y = Array.copy y0 in
     let adam = Adam.create ~lr:cfg.Tuning_config.gd_lr (Array.length y) in
     let bounds = Pack.bounds_log pack in
     let history = ref [] in
     for _ = 1 to cfg.Tuning_config.nsteps do
-      let obj, grad =
-        Objective.legacy_value_grad ~lambda:cfg.Tuning_config.lambda model pack y
-      in
+      let obj, grad = reference_value_grad ~lambda model pack y in
       history := (Array.copy y, obj) :: !history;
       Adam.step adam ~params:y ~grads:grad;
       Array.iteri
         (fun i (lo, hi) -> y.(i) <- Stats.clamp ~lo:(lo -. 0.7) ~hi:(hi +. 0.7) y.(i))
         bounds
     done;
-    let obj, _ = Objective.legacy_value_grad ~lambda:cfg.Tuning_config.lambda model pack y in
+    let obj, _ = reference_value_grad ~lambda model pack y in
     history := (Array.copy y, obj) :: !history;
     List.rev !history
   in
-  Alcotest.(check int) "trajectory length" (List.length manual) (List.length fused);
-  List.iteri
-    (fun i ((y_m, o_m), (y_f, o_f)) ->
-      if not (Int64.equal (Int64.bits_of_float o_m) (Int64.bits_of_float o_f)) then
-        Alcotest.failf "step %d: objective diverged (%h vs %h)" i o_m o_f;
-      Alcotest.(check bool) "iterate bitwise" true (bits_eq y_m y_f))
-    (List.combine manual fused)
+  let batched = Gradient_tuner.descend_batch cfg model pack seeds in
+  Array.iteri
+    (fun l y0 ->
+      let reference = manual y0 and traj = batched.(l) in
+      Alcotest.(check int) "trajectory length" (List.length reference) (List.length traj);
+      List.iteri
+        (fun i ((y_m, o_m), (y_f, o_f)) ->
+          if not (float_bits_eq o_m o_f) then
+            Alcotest.failf "seed %d step %d: objective diverged (%h vs %h)" l i o_m o_f;
+          Alcotest.(check bool) "iterate bitwise" true (bits_eq y_m y_f))
+        (List.combine reference traj))
+    seeds
 
 let test_objective_batch_bitwise () =
-  (* Lane l of the batched lockstep evaluation must be bitwise the scalar
-     call on that candidate alone, at any batch size. *)
+  (* Lane l of the batched evaluation must be bitwise the scalar reference
+     on that candidate alone, at any batch size, on every sketch. *)
   let model = Lazy.force shared_model in
   let rng = Rng.create 59 in
-  let sg = dense_sg () in
-  let pack = Pack.prepare sg (List.nth (Sketch.generate sg) 1) in
-  let obj = Objective.create ~lambda:10.0 model pack in
-  let n = Pack.num_vars pack in
+  let lambda = quick.Tuning_config.lambda in
   List.iter
-    (fun batch ->
-      let points = Array.init batch (fun _ -> sample_valid rng pack) in
-      let ys = Array.make (batch * n) 0.0 in
-      Array.iteri (fun l y -> Array.blit y 0 ys (l * n) n) points;
-      let grads = Array.make (batch * n) 0.0 in
-      let objs = Array.make batch 0.0 in
-      Objective.value_grad_batch obj ~batch ys ~grads ~objs;
-      let scores = Array.make batch 0.0 in
-      Objective.predict_batch obj ~batch ys ~scores;
-      Array.iteri
-        (fun l y ->
-          let g = Array.make n 0.0 in
-          let o = Objective.value_grad obj y ~grad:g in
-          if not (Int64.equal (Int64.bits_of_float o) (Int64.bits_of_float objs.(l)))
-          then Alcotest.failf "batch %d lane %d: objective diverged" batch l;
-          Alcotest.(check bool) "gradient bitwise" true
-            (bits_eq g (Array.sub grads (l * n) n));
-          let p = Objective.predict obj y in
-          if not
-               (Int64.equal (Int64.bits_of_float p) (Int64.bits_of_float scores.(l)))
-          then Alcotest.failf "batch %d lane %d: prediction diverged" batch l)
-        points)
-    [ 1; 5; 32 ]
+    (fun sg ->
+      List.iter
+        (fun sched ->
+          let pack = Pack.prepare sg sched in
+          List.iter
+            (fun batch ->
+              let points = Array.init batch (fun _ -> sample_valid rng pack) in
+              Array.iteri
+                (fun l (o, g, p) ->
+                  let y = points.(l) in
+                  let o_r, g_r = reference_value_grad ~lambda model pack y in
+                  if not (float_bits_eq o_r o) then
+                    Alcotest.failf "batch %d lane %d: objective diverged" batch l;
+                  Alcotest.(check bool) "gradient bitwise" true (bits_eq g_r g);
+                  if not (float_bits_eq (Mlp.forward model (Pack.features_at pack y)) p) then
+                    Alcotest.failf "batch %d lane %d: prediction diverged" batch l)
+                (eval_tile ~lambda (Objective.create ~batch model pack) points))
+            [ 1; 5; 32 ])
+        (Sketch.generate sg))
+    [ dense_sg (); conv_sg () ]
+
+let check_trajectories label reference batched =
+  Array.iteri
+    (fun l traj ->
+      let traj' = batched.(l) in
+      Alcotest.(check int) "trajectory length" (List.length traj) (List.length traj');
+      List.iteri
+        (fun i ((y_s, o_s), (y_b, o_b)) ->
+          if not (float_bits_eq o_s o_b) then
+            Alcotest.failf "%s seed %d step %d: objective diverged" label l i;
+          Alcotest.(check bool) "iterate bitwise" true (bits_eq y_s y_b))
+        (List.combine traj traj'))
+    reference
 
 let test_descend_batch_bitwise () =
-  (* Every lane of the lockstep descent must retrace the scalar descent on
-     its seed, regardless of tile width or domain count. *)
+  (* Every lane of the lockstep descent must retrace the lone descent of
+     its seed, whatever the tile split: 5 seeds run as one tile at 1
+     domain, as tiles of 2 and 3 at 2 domains and of 1/1/1/2 at 4. *)
   let model = Lazy.force shared_model in
   let rng = Rng.create 61 in
   let sg = dense_sg () in
   let pack = Pack.prepare sg (List.nth (Sketch.generate sg) 1) in
   let cfg = { quick with Tuning_config.nsteps = 25 } in
   let seeds = Array.init 5 (fun _ -> sample_valid rng pack) in
-  let scalar =
-    Array.map (fun y0 -> Gradient_tuner.descend cfg (Rng.create 0) model pack y0) seeds
+  let alone =
+    Array.map (fun y0 -> (Gradient_tuner.descend_batch cfg model pack [| y0 |]).(0)) seeds
   in
-  let check label batched =
-    Array.iteri
-      (fun l traj ->
-        let traj' = batched.(l) in
-        Alcotest.(check int) "trajectory length" (List.length traj) (List.length traj');
-        List.iteri
-          (fun i ((y_s, o_s), (y_b, o_b)) ->
-            if not (Int64.equal (Int64.bits_of_float o_s) (Int64.bits_of_float o_b))
-            then Alcotest.failf "%s seed %d step %d: objective diverged" label l i;
-            Alcotest.(check bool) "iterate bitwise" true (bits_eq y_s y_b))
-          (List.combine traj traj'))
-      scalar
-  in
-  check "tile 2" (Gradient_tuner.descend_batch cfg ~batch:2 model pack seeds);
-  check "one tile" (Gradient_tuner.descend_batch cfg model pack seeds);
-  Runtime.with_runtime ~domains:4 (fun rt ->
-      check "tile 2 x 4 domains"
-        (Gradient_tuner.descend_batch cfg ~runtime:rt ~batch:2 model pack seeds))
+  check_trajectories "1 domain" alone (Gradient_tuner.descend_batch cfg model pack seeds);
+  List.iter
+    (fun domains ->
+      Runtime.with_runtime ~domains (fun rt ->
+          check_trajectories
+            (Printf.sprintf "%d domains" domains)
+            alone
+            (Gradient_tuner.descend_batch cfg ~runtime:rt model pack seeds)))
+    [ 2; 4 ]
 
 let test_search_round_batch_bitwise () =
-  (* search_round with batched descents (any tile width, any domain count)
-     must return the scalar round's candidates, bit for bit. *)
+  (* search_round at 1, 2 and 4 domains (so different tile splits) must
+     return the same candidates, bit for bit. *)
   let model = Lazy.force shared_model in
   let packs = List.map (Pack.prepare (dense_sg ())) (Sketch.generate (dense_sg ())) in
-  let run ?runtime ?batch () =
-    Gradient_tuner.search_round quick (Rng.create 17) ?runtime ?batch model packs
+  let run ?runtime () =
+    Gradient_tuner.search_round quick (Rng.create 17) ?runtime model packs
       ~already_measured:(fun _ -> false)
   in
   let reference, ref_trace = run () in
@@ -405,49 +411,58 @@ let test_search_round_batch_bitwise () =
     List.iteri
       (fun i ((a : Gradient_tuner.candidate), (b : Gradient_tuner.candidate)) ->
         Alcotest.(check string) (Printf.sprintf "%s: key %d" label i) a.key b.key;
-        if
-          not
-            (Int64.equal
-               (Int64.bits_of_float a.predicted)
-               (Int64.bits_of_float b.predicted))
-        then Alcotest.failf "%s: prediction %d diverged" label i;
+        if not (float_bits_eq a.predicted b.predicted) then
+          Alcotest.failf "%s: prediction %d diverged" label i;
         Alcotest.(check bool) "rounded point bitwise" true (bits_eq a.y b.y))
       (List.combine reference cands);
     Alcotest.(check int)
       (label ^ ": steps done")
-      ref_trace.Gradient_tuner.steps_done trace.Gradient_tuner.steps_done
+      ref_trace.Gradient_tuner.steps_done trace.Gradient_tuner.steps_done;
+    Alcotest.(check bool)
+      (label ^ ": predictions bitwise")
+      true
+      (bits_eq
+         (Array.of_list ref_trace.Gradient_tuner.predictions)
+         (Array.of_list trace.Gradient_tuner.predictions))
   in
-  check "batch 8" (run ~batch:8 ());
-  Runtime.with_runtime ~domains:4 (fun rt -> check "batch 8 x 4 domains" (run ~runtime:rt ~batch:8 ()))
+  List.iter
+    (fun domains ->
+      Runtime.with_runtime ~domains (fun rt ->
+          check (Printf.sprintf "%d domains" domains) (run ~runtime:rt ())))
+    [ 2; 4 ]
 
 let test_evolutionary_batch_bitwise () =
   let model = Lazy.force shared_model in
-  let packs = [ Pack.prepare (dense_sg ()) (List.hd (Sketch.generate (dense_sg ()))) ] in
-  let run ?batch () =
-    Evolutionary.search_round quick (Rng.create 19) ?batch model packs ~elites:[]
+  let packs = List.map (Pack.prepare (dense_sg ())) (Sketch.generate (dense_sg ())) in
+  let run ?runtime () =
+    Evolutionary.search_round quick (Rng.create 19) ?runtime model packs ~elites:[]
       ~already_measured:(fun _ -> false)
   in
-  let reference, _ = run () in
-  let batched, _ = run ~batch:8 () in
-  Alcotest.(check int) "population size" (List.length reference) (List.length batched);
-  List.iteri
-    (fun i ((a : Evolutionary.individual), (b : Evolutionary.individual)) ->
-      Alcotest.(check string) (Printf.sprintf "key %d" i) a.Evolutionary.key
-        b.Evolutionary.key;
-      if
-        not
-          (Int64.equal
-             (Int64.bits_of_float a.Evolutionary.predicted)
-             (Int64.bits_of_float b.Evolutionary.predicted))
-      then Alcotest.failf "individual %d: prediction diverged" i)
-    (List.combine reference batched)
+  let reference, ref_trace = run () in
+  List.iter
+    (fun domains ->
+      Runtime.with_runtime ~domains (fun rt ->
+          let scored, trace = run ~runtime:rt () in
+          Alcotest.(check int) "population size" (List.length reference) (List.length scored);
+          List.iteri
+            (fun i ((a : Evolutionary.individual), (b : Evolutionary.individual)) ->
+              Alcotest.(check string) (Printf.sprintf "key %d" i) a.Evolutionary.key
+                b.Evolutionary.key;
+              if not (float_bits_eq a.Evolutionary.predicted b.Evolutionary.predicted) then
+                Alcotest.failf "%d domains: individual %d prediction diverged" domains i)
+            (List.combine reference scored);
+          Alcotest.(check bool)
+            (Printf.sprintf "%d domains: predictions bitwise" domains)
+            true
+            (bits_eq
+               (Array.of_list ref_trace.Evolutionary.predictions)
+               (Array.of_list trace.Evolutionary.predictions))))
+    [ 2; 4 ]
 
 let tests =
   [ Alcotest.test_case "clock" `Quick test_clock;
     Alcotest.test_case "defaults match the paper" `Quick test_config_defaults_match_paper;
     Alcotest.test_case "gradient descent reduces the objective" `Slow test_descend_reduces_objective;
-    Alcotest.test_case "fused objective bitwise-equals legacy" `Slow
-      test_objective_fused_matches_legacy;
     Alcotest.test_case "shared objective is parallel-deterministic" `Slow
       test_objective_parallel_bitwise;
     Alcotest.test_case "descend retraces the legacy Adam loop" `Slow

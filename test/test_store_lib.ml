@@ -395,35 +395,62 @@ let test_resume_ignores_foreign_checkpoint () =
     (resumed.Tuner.total_measurements <= reference.Tuner.total_measurements);
   remove_tree dir
 
-let test_plan_toggle_run_identical () =
-  (* Compiled-plan vs interpreted batched tape execution must be invisible
-     to a full stored tuning run: results and the persisted checkpoint
-     (model weights, RNG state, curve — all bit-strings) are identical. *)
-  let was = Pack.using_plan_execution () in
-  Fun.protect ~finally:(fun () -> Pack.set_plan_execution was)
-  @@ fun () ->
-  let checkpoint dir =
-    let s = ok_store (Store.open_dir dir) in
-    let c =
-      match Store.load_checkpoint s with
-      | Ok j -> Json.to_line j
-      | Error e -> Alcotest.failf "checkpoint: %s" (Store.error_message e)
-    in
-    Store.close s;
-    Digest.to_hex (Digest.string c)
+let test_legacy_batch_field_resumes () =
+  (* Run configurations written by older builds carry a "batch" descent
+     width that no longer exists. A job spec and a store's run.json with
+     that field must still decode, and the store must resume to the
+     uninterrupted result. *)
+  let rounds = 6 and seed = 81 in
+  let rc = Tuning_config.(builder |> with_search (search rounds) |> with_seed seed) in
+  let spec =
+    { Serve.Job.network = Workload.Dcgan; inference_batch = 1; device = Device.rtx_a5000;
+      engine = Tuning_config.Felix; run = rc; deadline_s = None; store_dir = None }
   in
-  Pack.set_plan_execution true;
-  let dir_on = fresh_dir () in
-  let on = run_stored ~dir:dir_on ~rounds:4 ~seed:71 Tuner.Felix in
-  Pack.clear_memory_cache ();
-  Pack.set_plan_execution false;
-  let dir_off = fresh_dir () in
-  let off = run_stored ~dir:dir_off ~rounds:4 ~seed:71 Tuner.Felix in
-  check_results_identical "plan on vs off" on off;
-  Alcotest.(check string) "checkpoint digests equal" (checkpoint dir_on)
-    (checkpoint dir_off);
-  remove_tree dir_on;
-  remove_tree dir_off
+  let legacy =
+    match Serve.Job.to_json spec with
+    | Json.Obj fields ->
+      Json.Obj
+        (List.map
+           (function
+             | "run", Json.Obj r -> ("run", Json.Obj (r @ [ ("batch", Json.Num 32.0) ]))
+             | f -> f)
+           fields)
+    | _ -> Alcotest.fail "job spec is not an object"
+  in
+  let same_run what (r : Tuning_config.run) =
+    Alcotest.(check string)
+      (what ^ ": run decodes to the current encoding")
+      (Json.to_line (Tuning_config.to_json rc))
+      (Json.to_line (Tuning_config.to_json r))
+  in
+  (match Serve.Job.of_json legacy with
+  | Ok s -> same_run "job spec" s.Serve.Job.run
+  | Error m -> Alcotest.failf "legacy job spec rejected: %s" m);
+  let reference = run_plain ~rounds ~seed Tuner.Felix in
+  let dir = fresh_dir () in
+  (match run_stored ~dir ~rounds ~seed ~on_event:(abort_after 3) Tuner.Felix with
+  | _ -> Alcotest.fail "expected abort"
+  | exception Abort_for_test -> ());
+  (match
+     Store.Artifact.save ~path:(Filename.concat dir "run.json")
+       ~kind:Serve.Job.invocation_kind ~version:Serve.Job.invocation_version legacy
+   with
+  | Ok () -> ()
+  | Error e -> Alcotest.failf "run.json: %s" (Store.error_message e));
+  let recorded =
+    match Serve.Job.load_invocation ~dir with
+    | Ok s -> s.Serve.Job.run
+    | Error e -> Alcotest.failf "legacy run.json rejected: %s" (Store.error_message e)
+  in
+  same_run "run.json" recorded;
+  let s = ok_store (Store.open_dir dir) in
+  let resumed =
+    Fun.protect ~finally:(fun () -> Store.close s) @@ fun () ->
+    run_tuner (Tuning_config.with_store s recorded) Device.rtx_a5000
+      (Lazy.force shared_model) (dcgan ()) Tuner.Felix
+  in
+  check_results_identical "legacy run.json resume" reference resumed;
+  remove_tree dir
 
 let test_warm_start_saves_measurements () =
   let dir = fresh_dir () in
@@ -479,5 +506,5 @@ let tests =
       test_resume_ignores_foreign_checkpoint;
     Alcotest.test_case "warm start saves measurements" `Slow
       test_warm_start_saves_measurements;
-    Alcotest.test_case "plan toggle invisible to stored runs" `Slow
-      test_plan_toggle_run_identical ]
+    Alcotest.test_case "legacy batch field decodes and resumes" `Slow
+      test_legacy_batch_field_resumes ]
