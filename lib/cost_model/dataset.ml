@@ -22,19 +22,27 @@ let collect_tasks ?(max_tasks = 500) () =
   let tasks = List.rev !out in
   List.filteri (fun i _ -> i < max_tasks) tasks
 
-let sample_valid_point rng pack attempts =
+(* Rejection sampling; [tries] counts the points drawn. *)
+let sample_counted rng pack attempts tries =
   let bounds = Pack.bounds_log pack in
   let rec go n =
     if n = 0 then None
     else begin
       let y = Array.map (fun (lo, hi) -> Rng.range rng lo hi) bounds in
+      incr tries;
       match Pack.round_to_valid pack y with Some r -> Some r | None -> go (n - 1)
     end
   in
   go attempts
 
+let sample_valid_point rng pack attempts = sample_counted rng pack attempts (ref 0)
+
+let c_attempts = Telemetry.counter Telemetry.global "cost_model.dataset_attempts"
+let c_accepted = Telemetry.counter Telemetry.global "cost_model.dataset_accepted"
+
 let generate rng device ?(schedules_per_task = 256) ?runtime ?cache_dir tasks =
   let out = ref [] in
+  let attempts = ref 0 and accepted = ref 0 in
   List.iter
     (fun sg ->
       let key = Compute.workload_key sg in
@@ -48,9 +56,10 @@ let generate rng device ?(schedules_per_task = 256) ?runtime ?cache_dir tasks =
           let prog = Pack.program pack in
           let seen = Hashtbl.create per_sketch in
           for _ = 1 to per_sketch do
-            match sample_valid_point rng pack 50 with
+            match sample_counted rng pack 50 attempts with
             | None -> ()
             | Some y ->
+              incr accepted;
               let skey = Pack.schedule_key pack y in
               if not (Hashtbl.mem seen skey) then begin
                 Hashtbl.replace seen skey ();
@@ -64,6 +73,8 @@ let generate rng device ?(schedules_per_task = 256) ?runtime ?cache_dir tasks =
           done)
         packs)
     tasks;
+  Telemetry.Counter.incr ~by:!attempts c_attempts;
+  Telemetry.Counter.incr ~by:!accepted c_accepted;
   Array.of_list !out
 
 let split rng ?(train_frac = 0.9) samples =

@@ -39,7 +39,10 @@ val generate :
     compilation across domains and [cache_dir] reuses compiled packs from
     the persistent cache (see [Pack.prepare_all]); sampling itself stays
     sequential and deterministic, so the output is identical either
-    way. *)
+    way. Each call adds its rejection-sampling totals — points drawn and
+    points that passed the feasibility check — once to the
+    [cost_model.dataset_attempts] and [cost_model.dataset_accepted]
+    telemetry counters. *)
 
 val split : Rng.t -> ?train_frac:float -> sample array -> t
 (** Shuffle and split (default 90% train, Section 5). *)

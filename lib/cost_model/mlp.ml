@@ -89,26 +89,27 @@ let forward t x =
    [input_gradient] on that row alone, at any batch size, on both the
    OCaml and the C kernels. *)
 
-(* The C kernels (mlp_stubs.c) run the same per-lane IEEE operation
-   sequence packed across lanes; they are compiled with contraction and
-   value-changing optimisations disabled, so vectorisation cannot change
-   any lane's bits; the parameter-gradient sweep, whose weight cells sum
-   across lanes, keeps each cell's lane order and vectorises across
-   inputs instead. [FELIX_NO_SIMD=1] (or [set_vector_kernels false])
-   selects the portable OCaml loops instead — the equivalence tests
-   exercise both. *)
+(* The C kernels (mlp_stubs.c) are register-blocked micro-kernels that
+   run every result cell's IEEE operation sequence exactly as the loops
+   below do, with vector lanes holding independent cells only; they are
+   compiled with contraction and value-changing optimisations disabled,
+   so vectorisation cannot change any cell's bits. The parameter-gradient
+   sweep, whose weight cells sum across lanes, keeps each cell's lane
+   order and vectorises across inputs instead. [FELIX_NO_SIMD=1] (or
+   [set_vector_kernels false]) selects the portable OCaml loops instead —
+   the equivalence tests exercise both. *)
 external c_forward_layers :
   float array -> int array -> int array -> float array array -> int -> unit
   = "felix_mlp_forward_batch" [@@noalloc]
 
 external c_forward_backward_layers :
   float array -> int array -> int array -> float array array -> float array array -> int
-  -> unit
+  -> int array -> unit
   = "felix_mlp_forward_backward_batch_byte" "felix_mlp_forward_backward_batch" [@@noalloc]
 
 external c_param_backward_layers :
   float array -> int array -> int array -> float array array -> float array array -> int
-  -> float array -> float array -> int array -> float array -> unit
+  -> float array -> float array -> int array -> unit
   = "felix_mlp_param_backward_batch_byte" "felix_mlp_param_backward_batch" [@@noalloc]
 
 let vector_kernels =
@@ -125,14 +126,15 @@ type batch_workspace = {
   b_offs : int array;
   b_acts : float array array;  (* per layer: cap * sizes.(l), feature-major *)
   b_delta : float array array;
-  b_lidx : int array;  (* per-output active-lane compression, cap wide; the C
-                          weight-gradient sweep stores lane offsets here *)
+  b_lidx : int array;  (* active-lane (OCaml loops) or active-output (C
+                          kernels) lists: max of cap and the widest layer *)
   b_ldval : float array;
   b_x : float array;  (* cap * n_inputs staging rows (train/forward batch) *)
   b_t : float array;  (* cap staging targets *)
   (* Training-only buffers, sized on first use so forward-only workspaces
      never carry them: the C weight-gradient sweep's lane-major transpose
-     plane (cap * widest layer input) and the training step's gradient. *)
+     plane (cap * widest layer input, plus 8 doubles of edge-tile
+     padding) and the training step's gradient. *)
   mutable b_prevT : float array;
   mutable b_grads : float array;
 }
@@ -144,7 +146,7 @@ let batch_workspace t ~batch =
     b_offs = offs;
     b_acts = Array.map (fun n -> Array.make (batch * n) 0.0) t.sizes;
     b_delta = Array.map (fun n -> Array.make (batch * n) 0.0) t.sizes;
-    b_lidx = Array.make batch 0;
+    b_lidx = Array.make (Array.fold_left max batch t.sizes) 0;
     b_ldval = Array.make batch 0.0;
     b_x = Array.make (batch * t.sizes.(0)) 0.0;
     b_t = Array.make batch 0.0;
@@ -163,8 +165,7 @@ let check_bws t bws ~batch name =
   then invalid_arg (name ^ ": workspace does not match model")
 
 (* Normalise the lane-major caller rows into the feature-major input plane
-   — the only transpose on the batched path (a few KB against the MB-scale
-   layer sweeps it feeds). *)
+   — a few KB against the MB-scale layer sweeps it feeds. *)
 let normalize_batch t bws ~batch xs =
   let ni = t.sizes.(0) in
   let a0 = bws.b_acts.(0) in
@@ -370,6 +371,7 @@ let input_gradient_batch_into t bws ~batch xs ~grads ~scores =
   let n_layers = Array.length bws.b_offs in
   if !vector_kernels then
     c_forward_backward_layers t.params t.sizes bws.b_offs bws.b_acts bws.b_delta batch
+      bws.b_lidx
   else begin
     forward_layers_ocaml t bws ~batch;
     backward_layers_ocaml t bws ~batch
@@ -475,10 +477,11 @@ let param_gradient_batch_into t bws ~batch ~xs ~targets grads =
     for l = 0 to n_layers - 1 do
       widest_in := max !widest_in t.sizes.(l)
     done;
-    let need = bws.b_cap * !widest_in in
+    (* The C edge tiles read up to 7 doubles past the last row. *)
+    let need = (bws.b_cap * !widest_in) + 8 in
     if Array.length bws.b_prevT < need then bws.b_prevT <- Array.make need 0.0;
     c_param_backward_layers t.params t.sizes bws.b_offs bws.b_acts bws.b_delta batch grads
-      bws.b_prevT bws.b_lidx bws.b_ldval
+      bws.b_prevT bws.b_lidx
   end
   else param_backward_layers_ocaml t bws ~batch grads;
   !loss /. bsz

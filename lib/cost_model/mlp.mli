@@ -52,15 +52,28 @@ val param_gradient : t -> (float array * float) array -> float array -> float
     vectorised across lanes by default (strict-IEEE C kernels — see
     mlp_stubs.c). Lane [l] of every batched sweep is bitwise-identical to
     the scalar reference ({!forward}, {!input_gradient}) on that row
-    alone, at any batch size, on either kernel set. The one sweep that sums across lanes, the
-    parameter gradient, runs in C too: it transposes each layer's input
-    activations into a lane-major plane ([prevT.(lane * n_in + i)]) kept
-    in the workspace and vectorises across inputs, adding each weight
-    cell's lanes in ascending order — the scalar example order. A
-    workspace must match the model it was created from ([Invalid_argument]
-    otherwise) and must not be shared by concurrent callers; reuse across
-    calls is safe. The C kernels keep all scratch in the workspace, so
-    separate workspaces may run on separate domains. *)
+    alone, at any batch size, on either kernel set.
+
+    The C kernels are register-blocked: each sweep keeps a tile of result
+    cells in vector registers across its whole reduction — outputs x
+    lanes (forward), inputs x lanes (input deltas), outputs x inputs
+    (weight gradient, over a lane-major transpose of the layer's input
+    activations, [prevT.(lane * n_in + i)], kept in the workspace). Each
+    cell keeps the scalar operation order: bias first, then inputs
+    ascending; active outputs ascending; active lanes ascending (the
+    scalar example order); no FMA. A zero delta's step is dropped by a
+    masked add or a blend, never by adding 0.0, so signed zeros and
+    non-finite weights give the same bits too. One source is compiled
+    for AVX-512, AVX2 and the SSE2 baseline and the widest supported set
+    runs; all three compute the same bits.
+
+    A workspace must match the model it was created from
+    ([Invalid_argument] otherwise) and must not be shared by concurrent
+    callers; reuse across calls is safe. The C kernels keep all scratch in
+    the workspace, so separate workspaces may run on separate domains.
+    Bit-identity across kernel sets assumes every NaN in the inputs or
+    weights is the one x86 arithmetic produces: IEEE leaves which payload
+    an operation on two different NaNs returns to the implementation. *)
 
 val set_vector_kernels : bool -> unit
 (** Select the vectorised C kernels ([true], the default) or the portable
@@ -107,11 +120,10 @@ val param_gradient_batch_into :
     Bitwise-identical to the scalar example loop — weight cells accumulate
     their active lanes in example order, input deltas their outputs in
     ascending order. On the C kernels the whole reverse sweep (ReLU mask,
-    weight and bias gradients, input deltas) runs in mlp_stubs.c: the
-    weight gradient sweeps each row as blocked AXPYs over the inputs of
-    the lane-major transpose plane, which is sized on first use (batch
-    capacity times the widest layer input) and then kept in the
-    workspace. *)
+    weight and bias gradients, input deltas) runs in mlp_stubs.c; the
+    weight gradient's lane-major transpose plane is sized on first use
+    (batch capacity times the widest layer input, plus 8 doubles of
+    padding that the edge tiles read) and then kept in the workspace. *)
 
 val train_batch : t -> Adam.t -> (float array * float) array -> float
 (** One Adam step on the mean-squared-error of the batch

@@ -91,18 +91,25 @@ let pretrain rng ?(hidden = [ 192; 192; 192 ]) ?(epochs = 8) ?(batch_size = 256)
      pretraining loss/gradient path runs on the SoA kernels with no
      per-step allocation. *)
   let ws = Mlp.batch_workspace model ~batch:(min batch_size n) in
-  for _epoch = 1 to epochs do
+  for epoch = 1 to epochs do
     Rng.shuffle rng order;
     let i = ref 0 in
+    let loss_sum = ref 0.0 and steps = ref 0 in
     while !i < n do
       let bsz = min batch_size (n - !i) in
       for j = 0 to bsz - 1 do
         let s = ds.train.(order.(!i + j)) in
         Mlp.stage_example ws j s.Dataset.features s.Dataset.target
       done;
-      ignore (Mlp.train_staged model adam ws ~batch:bsz);
+      loss_sum := !loss_sum +. Mlp.train_staged model adam ws ~batch:bsz;
+      incr steps;
       i := !i + bsz
-    done
+    done;
+    Telemetry.event Telemetry.global "cost_model.epoch"
+      ~attrs:
+        [ ("epoch", Telemetry.Int epoch);
+          ("minibatches", Telemetry.Int !steps);
+          ("mean_loss", Telemetry.Float (!loss_sum /. float_of_int !steps)) ]
   done;
   let metrics = evaluate model ds.valid in
   Telemetry.Gauge.set (Telemetry.gauge Telemetry.global "cost_model.valid_mse") metrics.mse;
@@ -111,11 +118,23 @@ let pretrain rng ?(hidden = [ 192; 192; 192 ]) ?(epochs = 8) ?(batch_size = 256)
     metrics.spearman;
   (model, metrics)
 
-let pretrained_for_device ?(cache_dir = "_artifacts") ?(seed = 1234) (device : Device.t) =
+let model_path ~cache_dir (device : Device.t) =
   let safe_name =
     String.map (fun c -> if c = ' ' || c = '/' then '_' else c) device.device_name
   in
-  let path = Filename.concat cache_dir (Printf.sprintf "costmodel_%s.json" safe_name) in
+  Filename.concat cache_dir (Printf.sprintf "costmodel_%s.json" safe_name)
+
+let cache_model ~cache_dir (device : Device.t) model =
+  let path = model_path ~cache_dir device in
+  match Result.bind (Store.mkdir_p cache_dir) (fun () -> Mlp.save_file model path) with
+  | Ok () -> ()
+  | Error e ->
+    Logs.warn (fun m ->
+        m "cost model for %s not cached at %s (%s); the next run trains it again"
+          device.device_name path (Store.error_message e))
+
+let pretrained_for_device ?(cache_dir = "_artifacts") ?(seed = 1234) (device : Device.t) =
+  let path = model_path ~cache_dir device in
   match Mlp.load_file path with
   | Ok m ->
     Telemetry.event Telemetry.global "cost_model.cache_hit"
@@ -134,8 +153,5 @@ let pretrained_for_device ?(cache_dir = "_artifacts") ?(seed = 1234) (device : D
         m "cost model for %s: mse %.4f spearman %.3f (per-task %.3f) on %d samples"
           device.device_name metrics.mse metrics.spearman metrics.per_task_spearman
           metrics.n_samples);
-    (try
-       if not (Sys.file_exists cache_dir) then Sys.mkdir cache_dir 0o755;
-       ignore (Mlp.save_file model path)
-     with Sys_error _ -> ());
+    cache_model ~cache_dir device model;
     model

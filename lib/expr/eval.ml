@@ -31,3 +31,53 @@ let eval_list base overrides e =
   List.iter (fun (k, v) -> Hashtbl.replace tbl k v) overrides;
   let env v = match Hashtbl.find_opt tbl v with Some x -> x | None -> base v in
   eval env e
+
+(* Closure compilation: the tree is walked once, here, and every node
+   becomes a closure specialised to its operator. Operands are evaluated
+   in [eval]'s order (right operand first, as OCaml evaluates the
+   arguments of [apply_binop]), conditions short-circuit as in
+   [eval_cond], and an unknown name raises [Unbound_variable] only when
+   its node is reached — so a compiled condition raises exactly when the
+   interpreted one would. *)
+let rec compile index (e : Expr.t) : float array -> float =
+  match e with
+  | Const c -> fun _ -> c
+  | Var v -> (
+    match index v with
+    | Some i -> fun a -> a.(i)
+    | None -> fun _ -> raise (Unbound_variable v))
+  | Binop (op, a, b) -> (
+    let fa = compile index a and fb = compile index b in
+    match op with
+    | Add -> fun x -> let vb = fb x in fa x +. vb
+    | Sub -> fun x -> let vb = fb x in fa x -. vb
+    | Mul -> fun x -> let vb = fb x in fa x *. vb
+    | Div -> fun x -> let vb = fb x in fa x /. vb
+    | Pow | Min | Max -> fun x -> let vb = fb x in Expr.apply_binop op (fa x) vb)
+  | Unop (op, a) ->
+    let fa = compile index a in
+    fun x -> Expr.apply_unop op (fa x)
+  | Select (c, a, b) ->
+    let fc = compile_cond index c and fa = compile index a and fb = compile index b in
+    fun x -> if fc x then fa x else fb x
+
+and compile_cond index (c : Expr.cond) : float array -> bool =
+  match c with
+  | Cmp (op, a, b) -> (
+    let fa = compile index a and fb = compile index b in
+    match op with
+    | Lt -> fun x -> let vb = fb x in fa x < vb
+    | Le -> fun x -> let vb = fb x in fa x <= vb
+    | Gt -> fun x -> let vb = fb x in fa x > vb
+    | Ge -> fun x -> let vb = fb x in fa x >= vb
+    | Eq | Ne -> fun x -> let vb = fb x in Expr.apply_cmpop op (fa x) vb)
+  | And (a, b) ->
+    let fa = compile_cond index a and fb = compile_cond index b in
+    fun x -> fa x && fb x
+  | Or (a, b) ->
+    let fa = compile_cond index a and fb = compile_cond index b in
+    fun x -> fa x || fb x
+  | Not a ->
+    let fa = compile_cond index a in
+    fun x -> not (fa x)
+  | Bconst b -> fun _ -> b

@@ -9,7 +9,7 @@ type t = {
   penalty_plan : Autodiff.Tape.Plan.t;  (* two tapes, compiled once here *)
   n_penalties : int;
   div_groups : (int * int list) list;  (* extent, var indices *)
-  raw_constraints : Expr.cond list;
+  feasible : float array -> bool;  (* the schedule's constraints, compiled *)
 }
 
 let schedule t = t.sched
@@ -80,7 +80,21 @@ type skeleton = {
   sk_names : string array;
   sk_bounds : (float * float) array;
   sk_div_groups : (int * int list) list;
+  sk_feasible : float array -> bool;
 }
+
+(* The original (unsmoothed) constraints compiled once into a check over
+   the integer point, indexed by variable position. A name bound twice
+   reads its last position, as a Hashtbl.replace environment would. *)
+let compile_feasible names constraints =
+  let index = Hashtbl.create (Array.length names) in
+  Array.iteri (fun i name -> Hashtbl.replace index name i) names;
+  let checks =
+    Array.of_list (List.map (Eval.compile_cond (Hashtbl.find_opt index)) constraints)
+  in
+  fun vals ->
+    let rec go k = k = Array.length checks || (checks.(k) vals && go (k + 1)) in
+    go 0
 
 let skeleton sg sched =
   let prog = Loop_ir.apply sg sched in
@@ -98,7 +112,8 @@ let skeleton sg sched =
       (fun (extent, vars) -> (extent, List.map index_of vars))
       sched.Schedule.div_groups
   in
-  { sk_prog = prog; sk_names = names; sk_bounds = bounds; sk_div_groups = div_groups }
+  { sk_prog = prog; sk_names = names; sk_bounds = bounds; sk_div_groups = div_groups;
+    sk_feasible = compile_feasible names sched.Schedule.constraints }
 
 let compile_pack ~width ~optimize sg sched sk =
   Telemetry.with_span Telemetry.global "pack.compile"
@@ -150,7 +165,7 @@ let compile_pack ~width ~optimize sg sched sk =
   let penalty_plan = compile_plan_timed penalty_tape in
   { sched; prog = sk.sk_prog; names; bounds = sk.sk_bounds; feature_tape; penalty_tape;
     feature_plan; penalty_plan; n_penalties = List.length margins;
-    div_groups = sk.sk_div_groups; raw_constraints = sched.Schedule.constraints }
+    div_groups = sk.sk_div_groups; feasible = sk.sk_feasible }
 
 (* --- persistent (disk) cache ------------------------------------------------
 
@@ -238,13 +253,6 @@ let disk_key ~width ~optimize sg sched =
 
 let entry_path dir key = Filename.concat dir ("pack-" ^ key ^ ".json")
 
-let rec mkdir_p d =
-  if d <> "" && not (Sys.file_exists d) then begin
-    let parent = Filename.dirname d in
-    if parent <> d then mkdir_p parent;
-    try Sys.mkdir d 0o755 with Sys_error _ -> ()
-  end
-
 let payload_of_pack t =
   Json.Obj
     [ ("n_vars", Json.Num (float_of_int (Array.length t.names)));
@@ -292,7 +300,7 @@ let pack_of_payload sched sk payload =
     Some
       { sched; prog = sk.sk_prog; names = sk.sk_names; bounds = sk.sk_bounds;
         feature_tape; penalty_tape; feature_plan; penalty_plan; n_penalties;
-        div_groups = sk.sk_div_groups; raw_constraints = sched.Schedule.constraints }
+        div_groups = sk.sk_div_groups; feasible = sk.sk_feasible }
   else None
 
 let h_prepare_ms = Telemetry.histogram Telemetry.global "felix.prepare_ms"
@@ -312,7 +320,8 @@ let prepare ?(width = 1.0) ?(optimize = true) ?cache_dir sg sched =
       let path = entry_path dir (disk_key ~width ~optimize sg sched) in
       let compile_and_store () =
         let t = compile_pack ~width ~optimize sg sched sk in
-        mkdir_p dir;
+        (* A failure here surfaces as the save's own error below. *)
+        ignore (Store.mkdir_p dir);
         (match
            Store.Artifact.save ~path ~kind:pack_artifact_kind
              ~version:pack_schema_version (payload_of_pack t)
@@ -365,7 +374,7 @@ let digest t =
       Printf.bprintf buf "|d%d=" extent;
       List.iter (fun i -> Printf.bprintf buf "%d," i) idxs)
     t.div_groups;
-  Printf.bprintf buf "|c%d" (List.length t.raw_constraints);
+  Printf.bprintf buf "|c%d" (List.length t.sched.Schedule.constraints);
   Digest.to_hex (Digest.string (Buffer.contents buf))
 
 (* --- disk-cache maintenance (CLI [cache] subcommand) ----------------------- *)
@@ -523,6 +532,9 @@ let round_to_valid t y =
   let n = Array.length t.names in
   if Array.length y <> n then invalid_arg "Pack.round_to_valid: arity mismatch";
   let rounded = Array.make n nan in
+  (* [vals.(i)] is the integer point [Float.round (exp rounded.(i))] the
+     constraints are checked at; divisor tables carry it precomputed. *)
+  let vals = Array.make n 0.0 in
   (* Divisor groups: round sequentially, consuming the extent. Variables
      later in the group get divisors of what remains, so the product always
      divides the extent. *)
@@ -531,34 +543,25 @@ let round_to_valid t y =
       let remaining = ref extent in
       List.iter
         (fun i ->
-          let x = exp y.(i) in
-          let d = Factorize.nearest_divisor !remaining x in
-          rounded.(i) <- log (float_of_int d);
-          remaining := !remaining / d)
+          let tb = Factorize.table !remaining in
+          let k = Factorize.nearest tb (exp y.(i)) in
+          rounded.(i) <- Factorize.log_divisor tb k;
+          vals.(i) <- Factorize.integer_value tb k;
+          remaining := !remaining / Factorize.divisor tb k)
         idxs)
     t.div_groups;
   (* Free variables: nearest integer, clamped to the box. *)
-  Array.iteri
-    (fun i v ->
-      if Float.is_nan v then begin
-        let lo, hi = t.bounds.(i) in
-        let x = Float.round (exp (Stats.clamp ~lo ~hi y.(i))) in
-        rounded.(i) <- log (max 1.0 x)
-      end)
-    rounded;
+  for i = 0 to n - 1 do
+    if Float.is_nan rounded.(i) then begin
+      let lo, hi = t.bounds.(i) in
+      let x = Float.round (exp (Stats.clamp ~lo ~hi y.(i))) in
+      let r = log (max 1.0 x) in
+      rounded.(i) <- r;
+      vals.(i) <- Float.round (exp r)
+    end
+  done;
   (* Validate the original (unsmoothed) constraints at the integer point. *)
-  let env =
-    let tbl = Hashtbl.create n in
-    Array.iteri (fun i name -> Hashtbl.replace tbl name (Float.round (exp rounded.(i)))) t.names;
-    fun v ->
-      match Hashtbl.find_opt tbl v with
-      | Some x -> x
-      | None -> raise (Eval.Unbound_variable v)
-  in
-  let feasible =
-    List.for_all (fun c -> Eval.eval_cond env c) t.raw_constraints
-  in
-  if feasible then Some rounded else None
+  if t.feasible vals then Some rounded else None
 
 let assignment t y =
   Array.to_list (Array.mapi (fun i name -> (name, int_of_float (Float.round (exp y.(i))))) t.names)

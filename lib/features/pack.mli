@@ -190,7 +190,17 @@ val round_to_valid : t -> float array -> float array option
 (** Round log-space values to the nearest divisor assignment (Section 3.3's
     factor rounding) and check the original integer constraints; [None] if
     the rounded point is infeasible. The result is a valid concrete
-    schedule's log-space image. *)
+    schedule's log-space image.
+
+    The check is compiled: each pack turns its raw constraints into
+    closures over the integer point, indexed by variable position
+    ({!Eval.compile_cond}), once when it is built or loaded from disk, and
+    rounding reads lock-free per-extent divisor tables
+    ({!Factorize.table}). Results are bitwise those of interpreting the
+    constraints with {!Eval.eval_cond} over a name-keyed environment and
+    taking the first log-space minimum over the divisor list, including
+    [Eval.Unbound_variable] for a constraint name that is not a variable.
+    Thread-safe; allocates only the result and one scratch array. *)
 
 val assignment : t -> float array -> (string * int) list
 (** Integer variable assignment corresponding to (rounded) [y]. *)

@@ -115,6 +115,17 @@ let io_protect f =
   | Unix.Unix_error (e, op, arg) ->
     Error (Io (Printf.sprintf "%s(%s): %s" op arg (Unix.error_message e)))
 
+let rec mkdir_p dir =
+  if dir = "" || Sys.file_exists dir then Ok ()
+  else
+    let parent = Filename.dirname dir in
+    match if parent <> dir then mkdir_p parent else Ok () with
+    | Error _ as e -> e
+    | Ok () ->
+      io_protect (fun () ->
+          (try Unix.mkdir dir 0o755 with Unix.Unix_error (Unix.EEXIST, _, _) -> ());
+          Ok ())
+
 let write_atomic ~path write =
   io_protect @@ fun () ->
   let tmp = path ^ ".tmp" in

@@ -56,6 +56,11 @@ end
 
 (** {1 Atomic files} *)
 
+val mkdir_p : string -> (unit, error) result
+(** Creates a directory and every missing parent (mode 0o755). A
+    directory that already exists, or that a concurrent caller creates
+    first, is success. *)
+
 val write_atomic : path:string -> (out_channel -> unit) -> (int, error) result
 (** [write_atomic ~path write] runs [write] on a channel to [path ^ ".tmp"],
     fsyncs it, renames it over [path] and fsyncs the directory, so a crash

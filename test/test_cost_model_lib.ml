@@ -132,6 +132,103 @@ let test_dataset_generation () =
       if not (Float.is_finite s.target) then Alcotest.fail "non-finite target")
     samples
 
+(* Global-registry instruments: enabled around the call, deltas checked,
+   disabled again so other tests see the default-inert registry. *)
+let with_global_telemetry f =
+  Telemetry.enable Telemetry.global;
+  Fun.protect ~finally:(fun () -> Telemetry.disable Telemetry.global) f
+
+let test_dataset_counters () =
+  let attempts = Telemetry.counter Telemetry.global "cost_model.dataset_attempts" in
+  let accepted = Telemetry.counter Telemetry.global "cost_model.dataset_accepted" in
+  with_global_telemetry @@ fun () ->
+  let a0 = Telemetry.Counter.value attempts and k0 = Telemetry.Counter.value accepted in
+  let samples =
+    Dataset.generate (Rng.create 7) Device.rtx_a5000 ~schedules_per_task:24 (small_tasks ())
+  in
+  let da = Telemetry.Counter.value attempts - a0 and dk = Telemetry.Counter.value accepted - k0 in
+  (* Accepted points are deduplicated and labelled into samples. *)
+  Alcotest.(check bool) "accepted >= samples" true (dk >= Array.length samples);
+  Alcotest.(check bool) "attempts > accepted" true (da > dk)
+
+let test_pretrain_epoch_events () =
+  let data = Rng.create 83 in
+  let sample _ =
+    let features = Array.init 5 (fun _ -> Rng.gaussian data) in
+    { Dataset.features; target = features.(0) -. features.(2); task_key = "t" }
+  in
+  let ds = { Dataset.train = Array.init 150 sample; valid = Array.init 20 sample } in
+  let capturing = ref false and epochs = ref [] in
+  Telemetry.add_sink Telemetry.global (fun r ->
+      if !capturing && r.Telemetry.r_kind = Telemetry.Event && r.r_name = "cost_model.epoch"
+      then epochs := r.r_attrs :: !epochs);
+  with_global_telemetry (fun () ->
+      capturing := true;
+      Fun.protect ~finally:(fun () -> capturing := false) (fun () ->
+          ignore (Train.pretrain (Rng.create 84) ~hidden:[ 8 ] ~epochs:3 ~batch_size:16 ds)));
+  let epochs = List.rev !epochs in
+  Alcotest.(check (list (option int))) "one event per epoch" [ Some 1; Some 2; Some 3 ]
+    (List.map (fun a -> Telemetry.attr_int a "epoch") epochs);
+  List.iter
+    (fun a ->
+      Alcotest.(check (option int)) "minibatches" (Some 10) (Telemetry.attr_int a "minibatches");
+      match Telemetry.attr_float a "mean_loss" with
+      | Some l when Float.is_finite l && l > 0.0 -> ()
+      | _ -> Alcotest.fail "mean_loss missing or not a positive finite loss")
+    epochs
+
+(* Runs [f] with a Logs reporter that collects warnings. *)
+let capture_warnings f =
+  let warnings = ref [] in
+  let reporter =
+    { Logs.report =
+        (fun _src level ~over k msgf ->
+          msgf (fun ?header:_ ?tags:_ fmt ->
+              Format.kasprintf
+                (fun msg ->
+                  if level = Logs.Warning then warnings := msg :: !warnings;
+                  over ();
+                  k ())
+                fmt)) }
+  in
+  let saved_reporter = Logs.reporter () and saved_level = Logs.level () in
+  Logs.set_reporter reporter;
+  Logs.set_level (Some Logs.Warning);
+  Fun.protect
+    ~finally:(fun () ->
+      Logs.set_reporter saved_reporter;
+      Logs.set_level saved_level)
+    f;
+  List.rev !warnings
+
+let test_cache_model_nested_and_unwritable () =
+  let model = Mlp.create (Rng.create 85) ~hidden:[ 4 ] ~n_inputs:3 () in
+  let device = Device.rtx_a5000 in
+  let root = Filename.temp_file "felix_model_cache" "" in
+  Sys.remove root;
+  let nested = List.fold_left Filename.concat root [ "a"; "b"; "c" ] in
+  let warnings = capture_warnings (fun () -> Train.cache_model ~cache_dir:nested device model) in
+  Alcotest.(check (list string)) "no warning" [] warnings;
+  (* A cached model is what the next bootstrap loads, with no training. *)
+  let loaded = Train.pretrained_for_device ~cache_dir:nested device in
+  Alcotest.(check string) "reloaded bytes" (Json.to_string (Mlp.to_json model))
+    (Json.to_string (Mlp.to_json loaded));
+  (* Under a regular file no directory can be made, even as root. *)
+  let blocker = Filename.concat root "file" in
+  Out_channel.with_open_bin blocker (fun oc -> output_string oc "x");
+  let unwritable = Filename.concat blocker "sub" in
+  let warnings =
+    capture_warnings (fun () -> Train.cache_model ~cache_dir:unwritable device model)
+  in
+  (match warnings with
+  | [ w ] ->
+    Alcotest.(check bool) "warning names the path" true
+      (contains ~needle:(Train.model_path ~cache_dir:unwritable device) w)
+  | ws -> Alcotest.failf "expected one warning, got %d" (List.length ws));
+  Sys.remove (Train.model_path ~cache_dir:nested device);
+  Sys.remove blocker;
+  List.iter Sys.rmdir [ nested; Filename.dirname nested; Filename.concat root "a"; root ]
+
 let test_dataset_split () =
   let rng = Rng.create 8 in
   let samples =
@@ -252,11 +349,8 @@ let test_mlp_workspace_bitwise () =
           done)
         [ 8; 3; 1; 8; 5 ])
 
-(* A copy of [model] whose hidden neuron [o] of [layer] is dead (zero
-   weights, bias -1): its ReLU is off on every lane, so the whole output's
-   deltas are masked and its weight row never accumulates anything. *)
-let with_dead_neuron model ~layer ~o =
-  let sizes = [| 11; 13; 9; 6; 1 |] in
+(* A copy of [model] with its flat parameter array edited in place by [f]. *)
+let map_params model f =
   match Mlp.to_json model with
   | Json.Obj fields ->
     let fields =
@@ -265,19 +359,27 @@ let with_dead_neuron model ~layer ~o =
           if k <> "params" then (k, v)
           else begin
             let p = Option.get (Option.bind (Json.as_string v) Store.Bits.to_floats) in
-            let off = ref 0 in
-            for l = 0 to layer - 1 do
-              off := !off + (sizes.(l) * sizes.(l + 1)) + sizes.(l + 1)
-            done;
-            let n_in = sizes.(layer) and n_out = sizes.(layer + 1) in
-            Array.fill p (!off + (o * n_in)) n_in 0.0;
-            p.(!off + (n_in * n_out) + o) <- -1.0;
+            f p;
             (k, Json.Str (Store.Bits.of_floats p))
           end)
         fields
     in
     Option.get (Mlp.of_json (Json.Obj fields))
   | _ -> assert false
+
+(* A copy of [model] whose hidden neuron [o] of [layer] is dead (zero
+   weights, bias -1): its ReLU is off on every lane, so the whole output's
+   deltas are masked and its weight row never accumulates anything. *)
+let with_dead_neuron model ~layer ~o =
+  let sizes = [| 11; 13; 9; 6; 1 |] in
+  map_params model (fun p ->
+      let off = ref 0 in
+      for l = 0 to layer - 1 do
+        off := !off + (sizes.(l) * sizes.(l + 1)) + sizes.(l + 1)
+      done;
+      let n_in = sizes.(layer) and n_out = sizes.(layer + 1) in
+      Array.fill p (!off + (o * n_in)) n_in 0.0;
+      p.(!off + (n_in * n_out) + o) <- -1.0)
 
 let test_mlp_param_gradient_batch_bitwise () =
   let rng = Rng.create 78 in
@@ -374,6 +476,149 @@ let test_pretrain_kernel_set_invariant () =
   fbits "per_task_spearman" m_ocaml.Train.per_task_spearman m_c.Train.per_task_spearman;
   Alcotest.(check int) "n_samples" m_ocaml.Train.n_samples m_c.Train.n_samples
 
+(* --- kernel sets at every block and edge tile ------------------------------
+
+   The C kernels hold tiles of 4 outputs x 16 lanes (forward), 4 inputs x
+   16 lanes (input deltas) and 4 outputs x 16 inputs (weight gradient) in
+   registers, with 8-lane, single-lane, 1-3 output/input and partial
+   16-input edge tiles. These cases compare the two kernel sets bit for bit
+   on batches and widths that reach every one of them. *)
+
+(* The NaN x86 arithmetic produces (inf - inf, 0 * inf). IEEE leaves the
+   payload of an operation on two NaNs to the implementation, and C
+   compilers commute additions and products freely, so injected NaNs use
+   this one encoding: every NaN in the sweep then has the same bits. *)
+let default_nan = Int64.float_of_bits 0xFFF8_0000_0000_0000L
+
+(* Each sweep's outputs under one kernel set: forward scores, input
+   gradient (scores and gradients), parameter gradient (loss and
+   gradient). *)
+let sweep_bits ~vector model xs targets batch =
+  let saved = Mlp.using_vector_kernels () in
+  Fun.protect ~finally:(fun () -> Mlp.set_vector_kernels saved) @@ fun () ->
+  Mlp.set_vector_kernels vector;
+  let ni = Mlp.n_inputs model in
+  let bws = Mlp.batch_workspace model ~batch in
+  let fwd = Array.make batch nan in
+  Mlp.forward_batch_into model bws ~batch xs ~scores:fwd;
+  let scores = Array.make batch nan and grads = Array.make (batch * ni) nan in
+  Mlp.input_gradient_batch_into model bws ~batch xs ~grads ~scores;
+  let g = Array.make (Mlp.num_params model) nan in
+  let loss = Mlp.param_gradient_batch_into model bws ~batch ~xs ~targets g in
+  Array.concat [ fwd; scores; grads; [| loss |]; g ]
+
+let test_kernel_sets_every_tile () =
+  let rng = Rng.create 91 in
+  let ni = 82 in
+  let base = Mlp.create rng ~hidden:[ 37; 192; 5 ] ~n_inputs:ni () in
+  (* Zero means on every third feature pass -0.0 inputs through. *)
+  Mlp.set_normalizer base
+    ~mean:(Array.init ni (fun i -> if i mod 3 = 0 then 0.0 else Rng.gaussian rng))
+    ~std:(Array.init ni (fun _ -> 0.5 +. Float.abs (Rng.gaussian rng)));
+  let sizes = [| ni; 37; 192; 5; 1 |] in
+  let offs =
+    let o = Array.make 4 0 in
+    for l = 1 to 3 do
+      o.(l) <- o.(l - 1) + (sizes.(l - 1) * sizes.(l)) + sizes.(l)
+    done;
+    o
+  in
+  let dead =
+    (* Neurons 3 of layer 0, 0 and 191 of layer 1 and 4 of layer 2 are off
+       on every lane: zero weights, bias -1. *)
+    map_params base (fun p ->
+        List.iter
+          (fun (l, o) ->
+            let n_in = sizes.(l) and n_out = sizes.(l + 1) in
+            Array.fill p (offs.(l) + (o * n_in)) n_in 0.0;
+            p.(offs.(l) + (n_in * n_out) + o) <- -1.0)
+          [ (0, 3); (1, 0); (1, 191); (2, 4) ])
+  in
+  let with_specials model specials =
+    (* Four weights or biases of every layer set to the given values. *)
+    map_params model (fun p ->
+        Array.iteri
+          (fun l off ->
+            let n = (sizes.(l) * sizes.(l + 1)) + sizes.(l + 1) in
+            Array.iteri (fun k v -> p.(off + (((k * 7919) + (l * 31)) mod n)) <- v) specials)
+          offs)
+  in
+  (* Non-finite inputs poison single lanes; huge weights overflow some
+     lanes' sums to +-inf (and inf - inf to NaN) while the rest stay
+     finite; non-finite weights poison whole outputs, so only the
+     zero-delta masking keeps cells finite. *)
+  let overflow = with_specials dead [| 3e307; -3e307; 1e307; -0.0 |] in
+  let nonfinite = with_specials dead [| infinity; neg_infinity; default_nan; -0.0 |] in
+  (* An infinite weight into the dead neuron 3 of layer 0: the neuron is
+     -inf, hence masked, on the lanes where input 1 is negative, and those
+     lanes stay finite only if the masked zero deltas add nothing. *)
+  let masked_inf = map_params dead (fun p -> p.(offs.(0) + (3 * ni) + 1) <- infinity) in
+  List.iter
+    (fun (what, model, special_inputs) ->
+      List.iter
+        (fun batch ->
+          let xs =
+            Array.init (batch * ni) (fun j ->
+                if special_inputs && j mod 97 = 5 then
+                  [| infinity; neg_infinity; default_nan; -0.0 |].((j / 97) mod 4)
+                else if j mod 3 = 0 && j mod 2 = 0 then -0.0
+                else 2.0 *. Rng.gaussian rng)
+          in
+          let targets = Array.init batch (fun _ -> Rng.gaussian rng) in
+          (* Lane 0's target is its prediction: its top delta is exactly 0. *)
+          targets.(0) <- Mlp.forward model (Array.sub xs 0 ni);
+          let c = sweep_bits ~vector:true model xs targets batch in
+          let o = sweep_bits ~vector:false model xs targets batch in
+          Array.iteri
+            (fun k v ->
+              if not (Int64.equal (bits v) (bits o.(k))) then
+                Alcotest.failf "%s batch %d: cell %d diverged (%h vs %h)" what batch k v o.(k))
+            c)
+        [ 1; 7; 15; 16; 17; 33; 255; 256 ])
+    [ ("plain", base, false); ("dead neurons", dead, false);
+      ("non-finite inputs", dead, true); ("overflowing weights", overflow, false);
+      ("non-finite weights", nonfinite, false); ("infinite weight, masked lanes", masked_inf, false) ]
+
+let test_kernel_sets_production_minibatches () =
+  (* The pretraining shape: 82 -> 192 x 3 -> 1, Adam steps on full
+     256-lane minibatches and the 33-lane tail an epoch of the cold
+     dataset ends with. Model bytes must not depend on the kernel set. *)
+  let data = Rng.create 92 in
+  let examples =
+    Array.init (3 * 256 + 33) (fun _ ->
+        let x = Array.init 82 (fun _ -> Rng.gaussian data) in
+        (x, x.(0) -. Float.abs x.(5) +. (0.1 *. Rng.gaussian data)))
+  in
+  let train vector =
+    let saved = Mlp.using_vector_kernels () in
+    Fun.protect ~finally:(fun () -> Mlp.set_vector_kernels saved) @@ fun () ->
+    Mlp.set_vector_kernels vector;
+    let model = Mlp.create (Rng.create 93) ~hidden:[ 192; 192; 192 ] ~n_inputs:82 () in
+    let mean, std =
+      Train.normalizer_of
+        (Array.map (fun (features, target) -> { Dataset.features; target; task_key = "" }) examples)
+    in
+    Mlp.set_normalizer model ~mean ~std;
+    let adam = Mlp.adam_for model in
+    let ws = Mlp.batch_workspace model ~batch:256 in
+    let losses = ref [] in
+    let i = ref 0 in
+    while !i < Array.length examples do
+      let bsz = min 256 (Array.length examples - !i) in
+      for j = 0 to bsz - 1 do
+        let x, t = examples.(!i + j) in
+        Mlp.stage_example ws j x t
+      done;
+      losses := Mlp.train_staged model adam ws ~batch:bsz :: !losses;
+      i := !i + bsz
+    done;
+    (Json.to_string (Mlp.to_json model), List.map bits !losses)
+  in
+  let json_c, losses_c = train true in
+  let json_ocaml, losses_ocaml = train false in
+  Alcotest.(check (list int64)) "minibatch losses" losses_ocaml losses_c;
+  Alcotest.(check string) "model bytes" json_ocaml json_c
+
 let test_adam_step_batch_bitwise () =
   let n = 7 and batch = 5 in
   let rng = Rng.create 79 in
@@ -418,6 +663,9 @@ let tests =
     Alcotest.test_case "mlp learns a linear function" `Quick test_mlp_learns_linear_function;
     Alcotest.test_case "mlp input normalisation" `Quick test_mlp_normalizer;
     Alcotest.test_case "mlp copy independence" `Quick test_mlp_copy_independent;
+    Alcotest.test_case "mlp kernel sets agree at every tile" `Quick test_kernel_sets_every_tile;
+    Alcotest.test_case "mlp kernel sets agree on production minibatches" `Quick
+      test_kernel_sets_production_minibatches;
     Alcotest.test_case "mlp save/load roundtrip" `Quick test_mlp_save_load;
     Alcotest.test_case "mlp batched kernels bitwise-equal scalar (both kernel sets)" `Quick
       test_mlp_batch_bitwise;
@@ -432,6 +680,11 @@ let tests =
     Alcotest.test_case "mlp workspace shape mismatch" `Quick test_mlp_workspace_mismatch;
     Alcotest.test_case "dataset generation" `Slow test_dataset_generation;
     Alcotest.test_case "dataset split fractions" `Quick test_dataset_split;
+    Alcotest.test_case "dataset attempt/accept counters" `Slow test_dataset_counters;
+    Alcotest.test_case "one telemetry event per pretraining epoch" `Quick
+      test_pretrain_epoch_events;
+    Alcotest.test_case "model cache: nested dir, unwritable dir warns" `Quick
+      test_cache_model_nested_and_unwritable;
     Alcotest.test_case "task collection deduplicates" `Slow test_collect_tasks_dedup;
     Alcotest.test_case "pretraining ranks schedules" `Slow test_pretrain_ranks_schedules;
     Alcotest.test_case "evaluate on empty set" `Quick test_evaluate_empty ]

@@ -579,6 +579,43 @@ let test_nearest_divisor () =
   Alcotest.(check int) "12 near 100" 12 (Factorize.nearest_divisor 12 100.0);
   Alcotest.(check int) "12 near 0.3" 1 (Factorize.nearest_divisor 12 0.3)
 
+(* The per-extent table keeps the list argmin's semantics: first minimum
+   in ascending divisor order, x <= 0 -> smallest divisor, NaN (and +inf,
+   whose distances are all infinite) -> first divisor. *)
+let test_nearest_divisor_matches_list_argmin =
+  let list_argmin n x =
+    let ds = List.filter (fun d -> n mod d = 0) (List.init n (fun i -> i + 1)) in
+    if x <= 0.0 then List.hd ds
+    else
+      let lx = log x in
+      Stats.argmin (fun d -> Float.abs (log (float_of_int d) -. lx)) ds
+  in
+  let gen =
+    QCheck2.Gen.(
+      int_range 1 5000 >>= fun n ->
+      let ds = Array.of_list (List.filter (fun d -> n mod d = 0) (List.init n (fun i -> i + 1))) in
+      let tie =
+        (* Geometric means of neighbouring divisors: exact or near ties. *)
+        map
+          (fun k ->
+            let k = k mod Array.length ds in
+            let a = float_of_int ds.(k) and b = float_of_int ds.(min (k + 1) (Array.length ds - 1)) in
+            sqrt (a *. b))
+          nat
+      in
+      let x =
+        frequency
+          [ (4, map (fun u -> exp (u *. 10.0)) (float_bound_inclusive 1.0));
+            (3, tie);
+            (1, map float_of_int (int_range 0 6000));
+            (1, oneofl [ 0.0; -0.0; -1.0; nan; infinity; neg_infinity; 1e-320; 5e-324; max_float ]) ]
+      in
+      map (fun x -> (n, x)) x)
+  in
+  qtest ~count:2000 "nearest divisor = list argmin (ties, x <= 0, nan, inf)" gen (fun (n, x) ->
+      Factorize.nearest_divisor n x = list_argmin n x
+      && Factorize.divisors n = List.filter (fun d -> n mod d = 0) (List.init n (fun i -> i + 1)))
+
 let test_round_log_to_divisor () =
   let y = Factorize.round_log_to_divisor 24 (log 7.0) in
   (* divisors of 24 around 7: 6 and 8; log-space rounding picks one of them *)
@@ -648,6 +685,7 @@ let tests =
       test_plan_json_roundtrip;
     Alcotest.test_case "divisors" `Quick test_divisors;
     Alcotest.test_case "nearest divisor (log-space)" `Quick test_nearest_divisor;
+    test_nearest_divisor_matches_list_argmin;
     Alcotest.test_case "round log to divisor" `Quick test_round_log_to_divisor;
     test_split_product;
     Alcotest.test_case "number of ordered factorisations" `Quick test_num_splits ]

@@ -447,6 +447,203 @@ let test_pack_env_matches_assignment () =
     (fun (name, v) -> check_close name (float_of_int v) (env name))
     (Pack.assignment pack y)
 
+(* --- compiled feasibility check vs the interpreted oracle ------------------
+
+   The reference composition [Pack.round_to_valid] replaced: divisors as a
+   list and a first-minimum list argmin in log space, a string-keyed
+   Hashtbl environment, and the raw constraints interpreted through
+   [Eval.eval_cond]. Everything is rebuilt here from the pack's public
+   view, so no production table or compiled closure is reused. *)
+
+let oracle_divisors =
+  let memo = Hashtbl.create 64 in
+  fun n ->
+    match Hashtbl.find_opt memo n with
+    | Some ds -> ds
+    | None ->
+      let ds = ref [] in
+      for d = n downto 1 do
+        if n mod d = 0 then ds := d :: !ds
+      done;
+      Hashtbl.replace memo n !ds;
+      !ds
+
+let oracle_nearest_divisor n x =
+  if x <= 0.0 then List.hd (oracle_divisors n)
+  else
+    let lx = log x in
+    Stats.argmin (fun d -> Float.abs (log (float_of_int d) -. lx)) (oracle_divisors n)
+
+let oracle_round_to_valid pack y =
+  let names = Pack.var_names pack in
+  let sched = Pack.schedule pack in
+  let n = Array.length names in
+  let index_of name =
+    let rec go i = if names.(i) = name then i else go (i + 1) in
+    go 0
+  in
+  let rounded = Array.make n nan in
+  List.iter
+    (fun (extent, vars) ->
+      let remaining = ref extent in
+      List.iter
+        (fun v ->
+          let i = index_of v in
+          let d = oracle_nearest_divisor !remaining (exp y.(i)) in
+          rounded.(i) <- log (float_of_int d);
+          remaining := !remaining / d)
+        vars)
+    sched.Schedule.div_groups;
+  let bounds = Pack.bounds_log pack in
+  Array.iteri
+    (fun i v ->
+      if Float.is_nan v then begin
+        let lo, hi = bounds.(i) in
+        let x = Float.round (exp (Stats.clamp ~lo ~hi y.(i))) in
+        rounded.(i) <- log (max 1.0 x)
+      end)
+    rounded;
+  let tbl = Hashtbl.create n in
+  Array.iteri (fun i name -> Hashtbl.replace tbl name (Float.round (exp rounded.(i)))) names;
+  let env v =
+    match Hashtbl.find_opt tbl v with Some x -> x | None -> raise (Eval.Unbound_variable v)
+  in
+  if List.for_all (Eval.eval_cond env) sched.Schedule.constraints then Some rounded
+  else None
+
+let same_rounding a b =
+  match (a, b) with
+  | None, None -> true
+  | Some a, Some b ->
+    Array.length a = Array.length b
+    && Array.for_all2 (fun x y -> Int64.equal (Int64.bits_of_float x) (Int64.bits_of_float y)) a b
+  | _ -> false
+
+(* Every sketch of a spread of dataset tasks (dense, conv, pooling and
+   elementwise subgraphs of several networks). *)
+let oracle_packs =
+  lazy
+    (let tasks = Array.of_list (Dataset.collect_tasks ()) in
+     let n = Array.length tasks in
+     List.concat_map
+       (fun k ->
+         let sg = tasks.(k * (n - 1) / 7) in
+         List.map (fun sched -> Pack.prepare sg sched) (Sketch.generate sg))
+       [ 0; 1; 2; 3; 4; 5; 6; 7 ])
+
+(* Random points in the box and around it, plus the adversarial ones:
+   +-inf, NaN, and log-values whose exp overflows or underflows to 0. *)
+let gen_point bounds : float array QCheck2.Gen.t =
+  let open QCheck2.Gen in
+  let coord (lo, hi) =
+    frequency
+      [ (6, map (fun u -> lo +. (u *. (hi -. lo))) (float_bound_inclusive 1.0));
+        (2, map (fun u -> lo -. 3.0 +. (u *. (hi -. lo +. 6.0))) (float_bound_inclusive 1.0));
+        (1, oneofl [ infinity; neg_infinity; nan; -1000.0; -745.2; 710.0; 1000.0; 0.0; -0.0 ]) ]
+  in
+  let rec go i acc =
+    if i < 0 then return (Array.of_list acc) else coord bounds.(i) >>= fun c -> go (i - 1) (c :: acc)
+  in
+  go (Array.length bounds - 1) []
+
+let test_round_to_valid_matches_oracle =
+  let packs = lazy (Array.of_list (Lazy.force oracle_packs)) in
+  let gen =
+    QCheck2.Gen.(
+      int_range 0 1_000_000 >>= fun k ->
+      let packs = Lazy.force packs in
+      let pack = packs.(k mod Array.length packs) in
+      map (fun y -> (pack, y)) (gen_point (Pack.bounds_log pack)))
+  in
+  qtest ~count:3000 "round_to_valid = Hashtbl/Eval/list-argmin oracle" gen (fun (pack, y) ->
+      same_rounding (oracle_round_to_valid pack y) (Pack.round_to_valid pack y))
+
+let test_round_to_valid_every_sketch () =
+  (* Each pack at its box corners and centre, and a few hundred random
+     in-box points, so every sketch's constraints see feasible and
+     infeasible points. *)
+  let rng = Rng.create 31 in
+  List.iter
+    (fun pack ->
+      let bounds = Pack.bounds_log pack in
+      let points =
+        [ Array.map fst bounds; Array.map snd bounds;
+          Array.map (fun (lo, hi) -> 0.5 *. (lo +. hi)) bounds ]
+        @ List.init 300 (fun _ -> Array.map (fun (lo, hi) -> Rng.range rng lo hi) bounds)
+      in
+      List.iter
+        (fun y ->
+          if not (same_rounding (oracle_round_to_valid pack y) (Pack.round_to_valid pack y))
+          then
+            Alcotest.failf "%s: rounding diverged from the oracle"
+              (Pack.schedule pack).Schedule.sched_name)
+        points)
+    (Lazy.force oracle_packs)
+
+let test_sample_valid_point_matches_oracle () =
+  (* Same points and the same RNG state afterwards: the compiled check
+     draws exactly what the oracle composition draws. *)
+  List.iteri
+    (fun k pack ->
+      List.iter
+        (fun seed ->
+          let r1 = Rng.create seed and r2 = Rng.create seed in
+          let bounds = Pack.bounds_log pack in
+          let rec oracle n =
+            if n = 0 then None
+            else begin
+              let y = Array.map (fun (lo, hi) -> Rng.range r2 lo hi) bounds in
+              match oracle_round_to_valid pack y with
+              | Some r -> Some r
+              | None -> oracle (n - 1)
+            end
+          in
+          for _ = 1 to 20 do
+            let got = Dataset.sample_valid_point r1 pack 50 in
+            let want = oracle 50 in
+            if not (same_rounding want got) then
+              Alcotest.failf "pack %d seed %d: sampled point diverged" k seed;
+            if not (Int64.equal (Rng.state_bits r1) (Rng.state_bits r2)) then
+              Alcotest.failf "pack %d seed %d: RNG state diverged" k seed
+          done)
+        [ 1; 2; 1234 ])
+    (Lazy.force oracle_packs)
+
+let test_compiled_cond_unbound_variable () =
+  (* A name outside the index raises Unbound_variable when evaluation
+     reaches it, and not when a short-circuit skips it, as in eval_cond. *)
+  let index = function "a" -> Some 0 | "b" -> Some 1 | _ -> None in
+  let vals = [| 2.0; 3.0 |] in
+  let env v = match index v with Some i -> vals.(i) | None -> raise (Eval.Unbound_variable v) in
+  let open Expr in
+  let unbound = le (var "zz") (const 1.0) in
+  let conds =
+    [ ("reached", and_ (le (var "a") (var "b")) unbound);
+      ("skipped by and", and_ (ge (var "a") (var "b")) unbound);
+      ("skipped by or", or_ (le (var "a") (var "b")) unbound);
+      ("under select", le (select (gt (var "a") zero) (var "q") (var "b")) (const 9.0));
+      ("right operand first", lt (var "x1") (var "x2")) ]
+  in
+  List.iter
+    (fun (what, c) ->
+      let run f = match f () with b -> Ok b | exception Eval.Unbound_variable v -> Error v in
+      let want = run (fun () -> Eval.eval_cond env c) in
+      let got = run (fun () -> Eval.compile_cond index c vals) in
+      if want <> got then Alcotest.failf "%s: compiled condition diverged" what)
+    conds
+
+let test_compiled_expr_matches_eval =
+  let names = Array.of_list expr_vars in
+  let index v =
+    let rec go i = if i = Array.length names then None else if names.(i) = v then Some i else go (i + 1) in
+    go 0
+  in
+  qtest ~count:300 "compiled expression = eval" QCheck2.Gen.(pair gen_expr gen_env)
+    (fun (e, bindings) ->
+      let vals = Array.map (fun v -> List.assoc v bindings) names in
+      let want = eval_at bindings e and got = Eval.compile index e vals in
+      Int64.equal (Int64.bits_of_float want) (Int64.bits_of_float got))
+
 let tests =
   [ Alcotest.test_case "feature count is 82" `Quick test_feature_count;
     Alcotest.test_case "feature names unique" `Quick test_feature_names_unique;
@@ -475,4 +672,12 @@ let tests =
       test_prepare_all_parallel_identity;
     Alcotest.test_case "prepare_cached keys include optimize" `Quick
       test_prepare_cached_optimize_key;
-    Alcotest.test_case "env matches integer assignment" `Quick test_pack_env_matches_assignment ]
+    Alcotest.test_case "env matches integer assignment" `Quick test_pack_env_matches_assignment;
+    test_round_to_valid_matches_oracle;
+    Alcotest.test_case "round_to_valid = oracle on every sketch" `Quick
+      test_round_to_valid_every_sketch;
+    Alcotest.test_case "sample_valid_point = oracle, same RNG state" `Quick
+      test_sample_valid_point_matches_oracle;
+    Alcotest.test_case "compiled condition raises like eval_cond" `Quick
+      test_compiled_cond_unbound_variable;
+    test_compiled_expr_matches_eval ]
